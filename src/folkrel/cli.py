@@ -205,7 +205,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "build", help="parse posts and persist the derived indices")
     _add_source_flags(build_parser, posts_required=True)
     build_parser.add_argument("--out", required=True, help="index directory")
-    build_parser.add_argument("--threads", type=int, default=1)
     build_parser.set_defaults(handler=cmd_build)
 
     relate_parser = subparsers.add_parser(
@@ -217,7 +216,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     relate_parser.add_argument("-k", type=int, default=10,
                                help="number of related tags (default 10)")
     _add_rank_flags(relate_parser)
-    relate_parser.add_argument("--threads", type=int, default=1)
     relate_parser.set_defaults(handler=cmd_relate)
 
     ground_parser = subparsers.add_parser(

@@ -139,12 +139,6 @@ class Folksonomy:
     def resource_id(self, resource: str) -> int:
         return self._resource_ids[resource]
 
-    def iter_assignments(self) -> Iterator[tuple[int, int, int]]:
-        """Yield every (user_id, tag_id, resource_id) triple of Y."""
-        for (uid, rid), tids in self.posts.items():
-            for tid in tids:
-                yield uid, tid, rid
-
     # -- equality (semantic, index-order independent) --------------------
 
     def _canonical(self) -> frozenset[tuple[str, str, frozenset[str]]]:

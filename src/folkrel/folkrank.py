@@ -24,7 +24,8 @@ import numpy as np
 from scipy import sparse
 
 from .core import Folksonomy, UnknownTagError, normalize_tag
-from .distributional import RelatedList, RelatedTag
+from .distributional import (RelatedList, RelatedTag, post_tag_incidence,
+                             string_rank)
 
 KIND_USER = "user"
 KIND_TAG = "tag"
@@ -59,7 +60,7 @@ class FolkGraph:
     shares the tag order of the source folksonomy.
     """
 
-    __slots__ = ("users", "tags", "resources", "_tag_ids",
+    __slots__ = ("users", "tags", "resources", "_tag_ids", "tag_rank",
                  "adjacency", "degrees", "_transition")
 
     def __init__(self, users, tags, resources, adjacency: sparse.csr_matrix):
@@ -67,6 +68,7 @@ class FolkGraph:
         self.tags = tags
         self.resources = resources
         self._tag_ids = {t: i for i, t in enumerate(tags)}
+        self.tag_rank = string_rank(tags)
         self.adjacency = adjacency
         degrees = np.asarray(adjacency.sum(axis=0)).ravel()
         if (degrees <= 0).any():
@@ -130,42 +132,21 @@ def build_folkgraph(f: Folksonomy) -> FolkGraph:
     if f.num_assignments == 0:
         raise ValueError("cannot build a graph from an empty folksonomy")
 
-    ut: dict[tuple[int, int], int] = {}
-    tr: dict[tuple[int, int], int] = {}
-    ur: dict[tuple[int, int], int] = {}
-    for (uid, rid), tids in f.posts.items():
-        ur[(uid, rid)] = len(tids)
-        for tid in tids:
-            key = (uid, tid)
-            ut[key] = ut.get(key, 0) + 1
-            key = (tid, rid)
-            tr[key] = tr.get(key, 0) + 1
-
+    incidence = post_tag_incidence(f)
+    sizes = np.diff(incidence.indptr)
+    uid, rid = np.array(list(f.posts), dtype=np.int64).reshape(-1, 2).T
     t_off = f.num_users
     r_off = f.num_users + f.num_tags
     n = r_off + f.num_resources
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-
-    def add(i: int, j: int, w: int) -> None:
-        rows.append(i)
-        cols.append(j)
-        data.append(w)
-        rows.append(j)
-        cols.append(i)
-        data.append(w)
-
-    for (uid, tid), w in ut.items():
-        add(uid, t_off + tid, w)
-    for (tid, rid), w in tr.items():
-        add(t_off + tid, r_off + rid, w)
-    for (uid, rid), w in ur.items():
-        add(uid, r_off + rid, w)
-
+    # One unit per triple on the u-t and t-r edges, post size on u-r;
+    # repeated pairs are summed by the COO to CSR conversion.
+    src = np.concatenate([uid.repeat(sizes), t_off + incidence.indices, uid])
+    dst = np.concatenate([t_off + incidence.indices, r_off + rid.repeat(sizes),
+                          r_off + rid])
+    w = np.concatenate([np.ones(2 * incidence.nnz), sizes])
     adjacency = sparse.coo_matrix(
-        (np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n)
+        (np.concatenate([w, w]), (np.concatenate([src, dst]),
+                                  np.concatenate([dst, src]))), shape=(n, n)
     ).tocsr()
     return FolkGraph(f.users, f.tags, f.resources, adjacency)
 
@@ -233,25 +214,12 @@ def folkrank_relatedness(
     diff = preferred.weights - base.weights
 
     t_off = g.tag_offset
-    entries = [
-        (-diff[t_off + tid], name, tid)
-        for tid, name in enumerate(g.tags)
-        if t_off + tid != node
-    ]
-    entries.sort(key=lambda e: (e[0], e[1]))
-    items = tuple(RelatedTag(name, -neg) for neg, name, _ in entries)
+    diff_tags = diff[t_off:t_off + len(g.tags)]
+    order = np.lexsort((g.tag_rank, -diff_tags))
+    order = order[order != node - t_off]
+    items = tuple(RelatedTag(g.tags[tid], score) for tid, score in
+                  zip(order.tolist(), diff_tags[order].tolist()))
     return RelatedList(source=g.node_name(node), items=items)
-
-
-def write_rank_tsv(g: FolkGraph, vector: RankVector, path) -> None:
-    """Export a rank vector as ``node_kind<TAB>node_id<TAB>weight``."""
-    rows = sorted(
-        (g.node_kind(i), g.node_name(i), vector.weights[i])
-        for i in range(g.num_nodes)
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for kind, name, weight in rows:
-            handle.write(f"{kind}\t{name}\t{weight:.12g}\n")
 
 
 def write_folkgraph_tsv(g: FolkGraph, path) -> None:

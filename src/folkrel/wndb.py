@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 POS_CHARS = {"noun": "n", "verb": "v", "adj": "a", "adv": "r"}
 SS_TYPES = {"noun": ("n",), "verb": ("v",), "adj": ("a", "s"), "adv": ("r",)}
 HYPERNYM_SYMBOLS = ("@", "@i")
-HYPONYM_SYMBOLS = ("~", "~i")
 
 _HEADER = "  1 Generated WNdb fixture data; not a real WordNet database.\n"
 

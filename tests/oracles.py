@@ -124,3 +124,101 @@ def taxonomy_distance(tax, lemma1, lemma2):
             if target in dist:
                 best = min(best, dist[target])
     return best
+
+
+class DictCoGraph:
+    """The co-occurrence graph as one ``{neighbor: weight}`` dict per tag.
+
+    This is the original pure-Python implementation that the CSR matrix in
+    ``folkrel.distributional`` replaced; its queries must agree with the
+    library's exactly, tie order included.
+    """
+
+    def __init__(self, f):
+        counts: dict[tuple[int, int], int] = {}
+        for tids in f.posts.values():
+            ts = sorted(tids)
+            n = len(ts)
+            for i in range(n - 1):
+                a = ts[i]
+                for j in range(i + 1, n):
+                    key = (a, ts[j])
+                    counts[key] = counts.get(key, 0) + 1
+        self.tags = f.tags
+        self.ids = {t: i for i, t in enumerate(f.tags)}
+        self.neighbors: list[dict[int, int]] = [dict() for _ in range(f.num_tags)]
+        for (a, b), w in counts.items():
+            self.neighbors[a][b] = w
+            self.neighbors[b][a] = w
+        self.norms = [math.sqrt(sum(w * w for w in nb.values()))
+                      for nb in self.neighbors]
+
+    def weight(self, t1, t2):
+        return self.neighbors[self.ids[t1]].get(self.ids[t2], 0)
+
+    def edge_count(self):
+        return sum(len(nb) for nb in self.neighbors) // 2
+
+    def iter_edges(self):
+        pairs = []
+        for tid, nb in enumerate(self.neighbors):
+            a = self.tags[tid]
+            for other, w in nb.items():
+                b = self.tags[other]
+                if a < b:
+                    pairs.append((a, b, w))
+        return sorted(pairs)
+
+    def dot(self, t1, t2):
+        n1, n2 = self.neighbors[t1], self.neighbors[t2]
+        if len(n2) < len(n1):
+            n1, n2 = n2, n1
+        dot = 0
+        for x, wx in n1.items():
+            wy = n2.get(x)
+            if wy is not None:
+                dot += wx * wy
+        return dot
+
+    def freq(self, tag):
+        """[(tag, score)] of every co-occurring tag, weight descending."""
+        tid = self.ids[tag]
+        ranked = sorted(self.neighbors[tid].items(),
+                        key=lambda kv: (-kv[1], self.tags[kv[0]]))
+        return [(self.tags[o], float(w)) for o, w in ranked]
+
+    def cosine_similarity(self, t1, t2):
+        i, j = self.ids[t1], self.ids[t2]
+        denom = self.norms[i] * self.norms[j]
+        if denom == 0.0:
+            return 0.0
+        return min(1.0, self.dot(i, j) / denom)
+
+    def cosine(self, tag, k):
+        """[(tag, score)] of the top k two-hop neighbors by cosine."""
+        tid = self.ids[tag]
+        candidates: set[int] = set()
+        for mid in self.neighbors[tid]:
+            candidates.update(self.neighbors[mid])
+        candidates.discard(tid)
+        norm_t = self.norms[tid]
+        scored = []
+        for cand in candidates:
+            dot = self.dot(tid, cand)
+            if dot:
+                score = min(1.0, dot / (norm_t * self.norms[cand]))
+                scored.append((score, self.tags[cand]))
+        scored.sort(key=lambda s: (-s[0], s[1]))
+        return [(name, score) for score, name in scored[:k]]
+
+
+def folkrank_order(g, diff, node):
+    """[(tag, score)] of every tag but ``node``, sorted by Python tuples.
+
+    The original FolkRank selection: one (-diff, name) tuple per tag node.
+    """
+    t_off = g.tag_offset
+    entries = [(-diff[t_off + tid], name)
+               for tid, name in enumerate(g.tags) if t_off + tid != node]
+    entries.sort()
+    return [(name, -neg) for neg, name in entries]

@@ -8,22 +8,30 @@ from folkrel.core import Folksonomy
 from folkrel.wordnet import Taxonomy
 
 TAG_POOL = [f"tag{i}" for i in range(8)]
+# Non-ASCII, mixed-case and decomposed tags: ties between them must break
+# by the code-point order of their normalized forms.
+UNICODE_TAG_POOL = ["web", "Web2", "éa", "ea", "z", "ß", "ω", "日本", "a\u0301"]
 USER_POOL = [f"user{i}" for i in range(5)]
 RESOURCE_POOL = [f"res{i}" for i in range(5)]
 LEMMA_POOL = [f"lem{i}" for i in range(10)]
 
 
 @st.composite
-def posts_lists(draw, min_posts=1, max_posts=12):
+def posts_lists(draw, min_posts=1, max_posts=12, tag_pool=TAG_POOL):
     n = draw(st.integers(min_posts, max_posts))
     posts = []
     for _ in range(n):
         user = draw(st.sampled_from(USER_POOL))
         resource = draw(st.sampled_from(RESOURCE_POOL))
-        tags = draw(st.lists(st.sampled_from(TAG_POOL), min_size=1,
+        tags = draw(st.lists(st.sampled_from(tag_pool), min_size=1,
                              max_size=4, unique=True))
         posts.append((user, resource, tags))
     return posts
+
+
+def duplicate(posts):
+    """Clone every post onto fresh users and resources."""
+    return posts + [(u + "+", r + "+", tags) for u, r, tags in posts]
 
 
 @st.composite

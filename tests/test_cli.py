@@ -195,6 +195,17 @@ def test_relate_rejects_bad_parameters(posts, capsys, flags):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("command", [
+    ("build", "--out", "index"),
+    ("relate", "--measure", "freq", "--tag", "web"),
+])
+def test_threads_flag_is_only_accepted_by_ground(posts, capsys, command):
+    code, _, stderr = run(capsys, *command, "--posts", str(posts),
+                          "--threads", "2")
+    assert code == 2
+    assert "--threads" in stderr
+
+
 # -- ground --------------------------------------------------------------
 
 def test_ground_writes_reports(ground_posts, tmp_path, capsys):

@@ -15,7 +15,8 @@ from folkrel.grounding import (EDGE_PATTERNS, MEASURES, GroundingEvaluator,
                                coverage)
 from folkrel.wordnet import ROOT, Taxonomy, ic_from_counts, shortest_path
 
-from strategies import TAG_POOL, folksonomies, lemma_counts, posts_lists, taxonomies
+from strategies import (TAG_POOL, duplicate, folksonomies, lemma_counts,
+                        posts_lists, taxonomies)
 
 CASES = settings(max_examples=200, deadline=None)
 
@@ -29,11 +30,6 @@ TAG_TAXONOMY = Taxonomy.build(
 )
 
 FLIP = {"up": "down", "down": "up"}
-
-
-def duplicate(posts):
-    """Clone every post onto fresh users and resources."""
-    return posts + [(u + "+", r + "+", tags) for u, r, tags in posts]
 
 
 @CASES
