@@ -8,8 +8,7 @@ WordNet-format taxonomies via shortest-path and Jiang-Conrath distances.
 
 from .core import (Folksonomy, PostsParseError, TagStats, UnknownTagError,
                    load_posts, normalize_tag, parse_posts,
-                   restrict_to_top_tags, save_posts, serialize_posts,
-                   tag_stats)
+                   restrict_to_top_tags, serialize_posts, tag_stats)
 from .distributional import (CoGraph, RelatedList, RelatedTag,
                              build_cooccurrence, cosine_relatedness,
                              cosine_similarity, freq_relatedness)
@@ -66,7 +65,6 @@ __all__ = [
     "parse_posts",
     "rank",
     "restrict_to_top_tags",
-    "save_posts",
     "serialize_posts",
     "shortest_path",
     "tag_stats",

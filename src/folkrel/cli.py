@@ -15,13 +15,12 @@ from pathlib import Path
 from .core import (PostsParseError, UnknownTagError, load_posts,
                    restrict_to_top_tags, serialize_posts, tag_stats)
 from .distributional import (build_cooccurrence, cosine_relatedness,
-                             freq_relatedness, write_cograph_tsv)
+                             freq_relatedness)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
-                       DEFAULT_TOL, build_folkgraph, folkrank_relatedness,
-                       write_folkgraph_tsv)
+                       DEFAULT_TOL, build_folkgraph, folkrank_relatedness)
 from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, RankParams,
                         report_summary_lines, write_report_files)
-from .tsvio import atomic_write_text, atomic_write_with, fmt6
+from .tsvio import atomic_write_text, fmt6
 from .wndb import WndbFormatError
 from .wordnet import (IcCountsError, TaxonomyStructureError,
                       UnknownLemmaError, load_ic, load_wordnet_dir)
@@ -111,15 +110,6 @@ def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
     f = _load_folksonomy(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.out / "folksonomy.tsv", serialize_posts(f))
-    cograph = build_cooccurrence(f)
-    atomic_write_with(cfg.out / "cograph.tsv",
-                      lambda p: write_cograph_tsv(cograph, p))
-    if f.num_assignments:
-        folkgraph = build_folkgraph(f)
-        atomic_write_with(cfg.out / "folkgraph.tsv",
-                          lambda p: write_folkgraph_tsv(folkgraph, p))
-    else:
-        atomic_write_text(cfg.out / "folkgraph.tsv", "")
     print(_summary(f))
     return 0
 
@@ -202,7 +192,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     build_parser = subparsers.add_parser(
-        "build", help="parse posts and persist the derived indices")
+        "build", help="parse posts and persist the folksonomy snapshot")
     _add_source_flags(build_parser, posts_required=True)
     build_parser.add_argument("--out", required=True, help="index directory")
     build_parser.set_defaults(handler=cmd_build)

@@ -215,11 +215,6 @@ def serialize_posts(f: Folksonomy) -> str:
     return "".join(f"{u}\t{r}\t{t}\n" for u, r, t in lines)
 
 
-def save_posts(f: Folksonomy, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(serialize_posts(f).encode("utf-8"))
-
-
 def tag_stats(f: Folksonomy) -> list[TagStats]:
     """Per-tag post counts, descending; ties broken lexicographically."""
     counts = [0] * f.num_tags

@@ -108,16 +108,6 @@ class CoGraph:
     def edge_count(self) -> int:
         return self.matrix.nnz // 2
 
-    def iter_edges(self):
-        """Yield (tag1, tag2, weight) once per unordered pair, sorted."""
-        coo = self.matrix.tocoo()
-        ra, rb = self.tag_rank[coo.row], self.tag_rank[coo.col]
-        upper = np.flatnonzero(ra < rb)
-        upper = upper[np.lexsort((rb[upper], ra[upper]))]
-        for a, b, w in zip(coo.row[upper].tolist(), coo.col[upper].tolist(),
-                           coo.data[upper].tolist()):
-            yield self.tags[a], self.tags[b], w
-
 
 def post_tag_incidence(f: Folksonomy) -> sparse.csr_matrix:
     """Post×tag 0/1 int64 matrix, one row per post in ``f.posts`` order."""
@@ -185,10 +175,3 @@ def cosine_relatedness(g: CoGraph, tag: str, k: int) -> RelatedList:
     cands = np.flatnonzero(dots)
     scores = np.minimum(1.0, dots[cands] / (g.norms[tid] * g.norms[cands]))
     return RelatedList(source=g.tags[tid], items=_ranked(g, cands, scores, k))
-
-
-def write_cograph_tsv(g: CoGraph, path) -> None:
-    """Export edges as ``tag1<TAB>tag2<TAB>weight``, tag1 < tag2, sorted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for a, b, w in g.iter_edges():
-            handle.write(f"{a}\t{b}\t{w}\n")

@@ -220,16 +220,3 @@ def folkrank_relatedness(
     items = tuple(RelatedTag(g.tags[tid], score) for tid, score in
                   zip(order.tolist(), diff_tags[order].tolist()))
     return RelatedList(source=g.node_name(node), items=items)
-
-
-def write_folkgraph_tsv(g: FolkGraph, path) -> None:
-    """Export edges as ``kind1<TAB>id1<TAB>kind2<TAB>id2<TAB>weight``."""
-    coo = sparse.triu(g.adjacency, k=1).tocoo()
-    rows = sorted(
-        (g.node_kind(int(i)), g.node_name(int(i)),
-         g.node_kind(int(j)), g.node_name(int(j)), int(w))
-        for i, j, w in zip(coo.row, coo.col, coo.data)
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for k1, n1, k2, n2, w in rows:
-            handle.write(f"{k1}\t{n1}\t{k2}\t{n2}\t{w}\n")

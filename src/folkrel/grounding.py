@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -540,6 +540,11 @@ def _report_json(report: GroundingReport) -> dict:
              "k": row.k, "mean_overlap": row.mean_overlap, "tags": row.tags}
             for row in report.overlaps
         ],
+        "rank_curves": {
+            measure: {"skipped": curve.skipped,
+                      "rows": [asdict(row) for row in curve.rows]}
+            for measure, curve in report.curves.items()
+        },
     }
     for measure, summary in report.measures.items():
         pairs = summary.pairs

@@ -6,8 +6,8 @@ by an 8-digit decimal synset offset (the byte position of the line in the
 file); index lines map a lowercase lemma to its synset offsets.  License
 header lines start with a space and are skipped.
 
-Only the structure needed for taxonomic queries is retained: words,
-pointer symbols with their targets, and the synset type.  The writer emits
+Every token of a record is validated, but only what taxonomic queries
+read is kept: the words and the hypernym targets.  The writer emits
 byte-valid files (true byte offsets, trailing double-space line endings)
 and exists so toy fixtures and synthetic corpora ship in the exact format
 the parser consumes.
@@ -35,28 +35,15 @@ class WndbFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Pointer:
-    symbol: str
-    target: int
-    pos: str
-    source_target: str
-
-
-@dataclass(frozen=True)
 class DataRecord:
     offset: int
-    ss_type: str
     words: tuple[str, ...]  # lowercased, sense markers stripped
-    pointers: tuple[Pointer, ...]
-
-    def hypernyms(self) -> tuple[int, ...]:
-        return tuple(p.target for p in self.pointers if p.symbol in HYPERNYM_SYMBOLS)
+    hypernyms: tuple[int, ...]  # "@" and "@i" targets, in file order
 
 
 @dataclass(frozen=True)
 class IndexRecord:
     lemma: str
-    pos: str
     offsets: tuple[int, ...]
 
 
@@ -125,14 +112,16 @@ def parse_data(data: bytes, pos: str) -> list[DataRecord]:
         p_cnt_token = take("pointer count")
         if len(p_cnt_token) != 3 or not p_cnt_token.isdigit():
             raise WndbFormatError(f"bad pointer count {p_cnt_token!r}", at)
-        pointers = []
+        hypernyms = []
         for _ in range(int(p_cnt_token)):
             symbol = take("pointer symbol")
             target = _parse_offset(take("pointer offset"), at, "pointer offset")
             ptr_pos = take("pointer pos")
             if ptr_pos not in ("n", "v", "a", "r"):
                 raise WndbFormatError(f"bad pointer pos {ptr_pos!r}", at)
-            pointers.append(Pointer(symbol, target, ptr_pos, take("pointer source/target")))
+            take("pointer source/target")
+            if symbol in HYPERNYM_SYMBOLS:
+                hypernyms.append(target)
         if pos == "verb":
             f_cnt_token = take("frame count")
             if not f_cnt_token.isdigit():
@@ -144,14 +133,13 @@ def parse_data(data: bytes, pos: str) -> list[DataRecord]:
         if pos_in_line != len(tokens):
             raise WndbFormatError(
                 f"unexpected trailing tokens: {tokens[pos_in_line:]!r}", at)
-        records.append(DataRecord(offset, ss_type, tuple(words), tuple(pointers)))
+        records.append(DataRecord(offset, tuple(words), tuple(hypernyms)))
     return records
 
 
 def parse_index(data: bytes, pos: str) -> list[IndexRecord]:
     """Parse an index.<pos> payload into (lemma, offsets) records."""
     pos_char = POS_CHARS[pos]
-    valid_chars = {"n", "v", "a", "r"}
     records: list[IndexRecord] = []
     for at, raw in _lines_with_offsets(data):
         if not raw or raw.startswith(b" "):
@@ -165,7 +153,7 @@ def parse_index(data: bytes, pos: str) -> list[IndexRecord]:
             raise WndbFormatError("truncated index record", at)
         lemma = tokens[0].lower()
         line_pos = tokens[1]
-        if line_pos not in valid_chars or line_pos != pos_char:
+        if line_pos != pos_char:
             raise WndbFormatError(
                 f"index pos {line_pos!r} does not match file pos {pos_char!r}", at)
         try:
@@ -180,7 +168,7 @@ def parse_index(data: bytes, pos: str) -> list[IndexRecord]:
             raise WndbFormatError(
                 f"expected {2 + synset_cnt} trailing fields, got {len(rest)}", at)
         offsets = tuple(_parse_offset(tok, at, "index offset") for tok in rest[2:])
-        records.append(IndexRecord(lemma, line_pos, offsets))
+        records.append(IndexRecord(lemma, offsets))
     return records
 
 

@@ -43,14 +43,11 @@ class IcCountsError(ValueError):
     """Malformed or invalid information-content counts input."""
 
 
-@dataclass(frozen=True)
-class Synset:
-    offset: int
-    lemmas: tuple[str, ...]
-
-
 class Taxonomy:
-    """Rooted hypernym DAG for one part of speech."""
+    """Rooted hypernym DAG for one part of speech.
+
+    ``synsets`` maps each synset offset to its lemma tuple.
+    """
 
     __slots__ = ("pos", "synsets", "_parents", "_children", "_lemma_index",
                  "_subsumers")
@@ -80,7 +77,7 @@ class Taxonomy:
         if pos not in POS_CHARS:
             raise ValueError(f"unknown part of speech {pos!r}")
         hypernyms = hypernyms or {}
-        built: dict[int, Synset] = {}
+        built: dict[int, tuple[str, ...]] = {}
         for offset in sorted(synsets):
             if offset == ROOT:
                 raise TaxonomyStructureError(
@@ -89,7 +86,7 @@ class Taxonomy:
             if not lemmas:
                 raise TaxonomyStructureError(
                     f"synset {offset:08d} carries no lemmas")
-            built[offset] = Synset(offset, lemmas)
+            built[offset] = lemmas
 
         parents: dict[int, tuple[int, ...]] = {}
         children: dict[int, list[int]] = {ROOT: []}
@@ -113,8 +110,8 @@ class Taxonomy:
         index: dict[str, tuple[int, ...]] = {}
         if lemma_index is None:
             derived: dict[str, set[int]] = {}
-            for offset, synset in built.items():
-                for lemma in synset.lemmas:
+            for offset, lemmas in built.items():
+                for lemma in lemmas:
                     derived.setdefault(lemma, set()).add(offset)
             index = {lemma: tuple(sorted(offs)) for lemma, offs in derived.items()}
         else:
@@ -236,14 +233,9 @@ def load_taxonomy(index_path, data_path, pos: str) -> Taxonomy:
             raise TaxonomyStructureError(
                 f"duplicate synset offset {record.offset:08d}")
         synsets[record.offset] = record.words
-        hypernyms[record.offset] = record.hypernyms()
+        hypernyms[record.offset] = record.hypernyms
     lemma_index: dict[str, list[int]] = {}
     for record in index_records:
-        for off in record.offsets:
-            if off not in synsets:
-                raise TaxonomyStructureError(
-                    f"index entry {record.lemma!r} references missing synset "
-                    f"{off:08d}")
         lemma_index.setdefault(record.lemma, []).extend(record.offsets)
     return Taxonomy.build(pos, synsets, hypernyms, lemma_index)
 
@@ -482,13 +474,6 @@ def load_ic(stream: IO[bytes] | Iterable[bytes], tax: Taxonomy,
             raise IcCountsError(f"bad synset offset {key!r}") from None
         synset_counts[offset] = synset_counts.get(offset, 0.0) + count
     return ic_from_counts(tax, synset_counts=synset_counts, smoothing=smoothing)
-
-
-def lowest_common_subsumer(tax: Taxonomy, ic: ICTable, s1: int, s2: int) -> int:
-    """Shared subsumer with maximal ic; ties broken by higher count, then
-    smaller offset."""
-    common = tax.subsumers(s1) & tax.subsumers(s2)
-    return max(common, key=lambda off: (ic.ic(off), ic.count(off), -off))
 
 
 def jiang_conrath(tax: Taxonomy, ic: ICTable, lemma1: str, lemma2: str) -> float:

@@ -159,16 +159,6 @@ class DictCoGraph:
     def edge_count(self):
         return sum(len(nb) for nb in self.neighbors) // 2
 
-    def iter_edges(self):
-        pairs = []
-        for tid, nb in enumerate(self.neighbors):
-            a = self.tags[tid]
-            for other, w in nb.items():
-                b = self.tags[other]
-                if a < b:
-                    pairs.append((a, b, w))
-        return sorted(pairs)
-
     def dot(self, t1, t2):
         n1, n2 = self.neighbors[t1], self.neighbors[t2]
         if len(n2) < len(n1):

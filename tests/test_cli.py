@@ -52,20 +52,16 @@ def test_build_writes_indices_and_summary(posts, tmp_path, capsys):
                           "--out", str(out))
     assert code == 0
     assert stdout == "|U|=3 |T|=3 |R|=3 |Y|=8\n"
-    for name in ("folksonomy.tsv", "cograph.tsv", "folkgraph.tsv"):
-        assert (out / name).is_file()
-    cograph = (out / "cograph.tsv").read_text()
-    assert "ajax\tweb\t2" in cograph
+    assert sorted(p.name for p in out.iterdir()) == ["folksonomy.tsv"]
 
 
 def test_build_is_reproducible(posts, tmp_path, capsys):
     out = tmp_path / "index"
     run(capsys, "build", "--posts", str(posts), "--out", str(out))
-    first = {name: (out / name).read_bytes()
-             for name in ("folksonomy.tsv", "cograph.tsv", "folkgraph.tsv")}
+    first = (out / "folksonomy.tsv").read_bytes()
     run(capsys, "build", "--posts", str(posts), "--out", str(out))
-    for name, body in first.items():
-        assert (out / name).read_bytes() == body
+    assert sorted(p.name for p in out.iterdir()) == ["folksonomy.tsv"]
+    assert (out / "folksonomy.tsv").read_bytes() == first
 
 
 def test_build_empty_corpus(tmp_path, capsys):
@@ -76,7 +72,10 @@ def test_build_empty_corpus(tmp_path, capsys):
                           "--out", str(out))
     assert code == 0
     assert stdout == "|U|=0 |T|=0 |R|=0 |Y|=0\n"
-    assert (out / "folkgraph.tsv").read_bytes() == b""
+    assert sorted(p.name for p in out.iterdir()) == ["folksonomy.tsv"]
+    assert (out / "folksonomy.tsv").read_bytes() == b""
+    run(capsys, "build", "--posts", str(posts), "--out", str(out))
+    assert (out / "folksonomy.tsv").read_bytes() == b""
 
 
 def test_build_missing_posts_file(tmp_path, capsys):
@@ -160,13 +159,16 @@ def test_relate_unknown_measure_exits_2(posts, capsys):
     assert code == 2
 
 
-def test_relate_uses_built_index(posts, tmp_path, capsys):
+@pytest.mark.parametrize("measure", ["freq", "cosine", "folkrank"])
+def test_relate_uses_built_index(measure, posts, tmp_path, capsys):
     out = tmp_path / "index"
     run(capsys, "build", "--posts", str(posts), "--out", str(out))
-    code, stdout, _ = run(capsys, "relate", "--out", str(out),
-                          "--measure", "freq", "--tag", "web")
+    query = ("--measure", measure, "--tag", "web")
+    code, from_posts, _ = run(capsys, "relate", "--posts", str(posts), *query)
+    assert code == 0 and from_posts
+    code, from_index, _ = run(capsys, "relate", "--out", str(out), *query)
     assert code == 0
-    assert stdout == "1\tajax\t2\n2\tdesign\t1\n"
+    assert from_index == from_posts
 
 
 def test_relate_without_index_or_posts(tmp_path, capsys):

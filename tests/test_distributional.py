@@ -129,10 +129,3 @@ def test_cosine_relatedness_rejects_bad_k(f1):
     g = build_cooccurrence(f1)
     with pytest.raises(ValueError):
         cosine_relatedness(g, "web", 0)
-
-
-def test_iter_edges_sorted(f1):
-    g = build_cooccurrence(f1)
-    edges = list(g.iter_edges())
-    assert edges == sorted(edges)
-    assert edges == [("ajax", "design", 1), ("ajax", "web", 2), ("design", "web", 1)]

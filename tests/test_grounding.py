@@ -10,6 +10,7 @@ from folkrel.core import Folksonomy, parse_posts
 from folkrel.grounding import (MEASURES, REPORT_FILES, GroundingEvaluator,
                                coverage, rank_bucket_spans,
                                report_summary_lines, write_report_files)
+from folkrel.tsvio import fmt6
 from folkrel.wordnet import Taxonomy, ic_from_counts, jiang_conrath
 
 # The freq top-1 pairs here are dog->cat (path 2) and car->dog (path 4);
@@ -302,7 +303,8 @@ def test_write_report_files(toy_eval, tmp_path):
 
 
 def test_report_json_payload(toy_eval, tmp_path):
-    write_report_files(toy_eval.report(), tmp_path)
+    report = toy_eval.report()
+    write_report_files(report, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["coverage"]["defined"] is True
     assert payload["coverage"]["covered"] == 3  # dog, cat, car
@@ -310,6 +312,20 @@ def test_report_json_payload(toy_eval, tmp_path):
     assert payload["measures"]["freq"]["pairs"] == 2
     assert payload["k"] == 10
     assert payload["params"]["damping"] == pytest.approx(0.7)
+
+    curves = payload["rank_curves"]
+    assert sorted(curves) == sorted(MEASURES)
+    header, *lines = (tmp_path / "report_rankcurve.tsv").read_text().splitlines()
+    assert sorted(header.split("\t")[1:]) == sorted(curves["freq"]["rows"][0])
+    tsv_rows = [line.split("\t") for line in lines]
+    json_rows = [[measure, str(row["bucket"]), str(row["rank_lo"]),
+                  str(row["rank_hi"]), str(row["tags"]),
+                  fmt6(row["mean_related_rank"])]
+                 for measure, curve in curves.items() for row in curve["rows"]]
+    assert sorted(json_rows) == sorted(tsv_rows)
+    for measure, curve in curves.items():
+        assert curve["skipped"] == report.curves[measure].skipped
+        assert curve["skipped"] + sum(r["tags"] for r in curve["rows"]) == 4
 
 
 def test_empty_corpus_report_is_flagged_not_crashing(t1, tmp_path):

@@ -6,6 +6,7 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from folkrel.core import Folksonomy
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
@@ -53,12 +54,11 @@ def test_cosine_symmetry_and_duplication_invariance(posts, data):
 @given(folksonomies())
 def test_pair_counts_conserved(f):
     g = build_cooccurrence(f)
-    edge_total = sum(w for _, _, w in g.iter_edges())
+    edge_total = sparse.triu(g.matrix, k=1).sum()
     post_total = sum(len(tids) * (len(tids) - 1) // 2
                      for tids in f.posts.values())
     assert edge_total == post_total
-    for a, b, w in g.iter_edges():
-        assert a < b and w >= 1
+    assert (g.matrix.data >= 1).all()
 
 
 @CASES

@@ -10,8 +10,7 @@ from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
                              TaxonomyStructureError, UnknownLemmaError,
                              ic_from_counts, jiang_conrath, load_ic,
-                             load_taxonomy, load_wordnet_dir,
-                             lowest_common_subsumer, shortest_path)
+                             load_taxonomy, load_wordnet_dir, shortest_path)
 
 from conftest import FIXTURE_DIR, T1_SPECS, synset_by_lemma
 
@@ -39,7 +38,16 @@ def test_parse_round_trip_structure():
     assert set(index) == {"entity", "animal", "artifact", "dog", "cat", "car"}
     dog = data[index["dog"].offsets[0]]
     assert dog.words == ("dog",)
-    assert dog.hypernyms() == (index["animal"].offsets[0],)
+    assert dog.hypernyms == (index["animal"].offsets[0],)
+
+
+def test_data_record_keeps_only_hypernym_targets_in_file_order():
+    line = (b"00000011 03 n 01 w 0 004 @ 00000300 n 0000 ~ 00000400 n 0000 "
+            b"@i 00000100 n 0000 @ 00000200 n 0000 | g  \n")
+    (record,) = parse_data(line, "noun")
+    assert record.offset == 11
+    assert record.words == ("w",)
+    assert record.hypernyms == (300, 100, 200)
 
 
 def test_header_lines_skipped():
@@ -71,6 +79,7 @@ def test_data_parse_errors_carry_byte_offset():
     (b"00000011 03 n 01 w 0 000\n", "gloss separator"),
     (b"00000011 03 n 01 w 0 002 @ 00000001 n 0000 | g  \n", "truncated"),
     (b"00000011 03 n 01 w 0 000 stray | g  \n", "trailing"),
+    (b"00000011 03 n 01 w 0 001 @ 00000001 x 0000 | g  \n", "pointer pos"),
 ])
 def test_data_parse_rejects_malformed_records(line, fragment):
     with pytest.raises(WndbFormatError) as err:
@@ -148,7 +157,8 @@ def test_load_rejects_index_pointing_at_missing_synset(tmp_path):
     index_path, data_path = write_database(T1_SPECS, "noun", tmp_path)
     bad = index_path.read_bytes().replace(b"00000062", b"00009999")
     index_path.write_bytes(bad)
-    with pytest.raises(TaxonomyStructureError):
+    with pytest.raises(TaxonomyStructureError,
+                       match="references missing synset 00009999"):
         load_taxonomy(index_path, data_path, "noun")
 
 
@@ -360,9 +370,3 @@ def test_jcn_minimizes_over_synset_pairs():
     ic = ic_from_counts(tax, smoothing=1.0)
     near = ic.ic(200) + ic.ic(400) - 2 * ic.ic(100)
     assert jiang_conrath(tax, ic, "crane", "heron") == pytest.approx(near, abs=1e-12)
-
-
-def test_lcs_picks_most_informative_ancestor(t1, t1_ic):
-    dog, cat = synset_by_lemma(t1, "dog"), synset_by_lemma(t1, "cat")
-    assert lowest_common_subsumer(t1, t1_ic, dog, cat) == \
-        synset_by_lemma(t1, "animal")
