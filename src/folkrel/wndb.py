@@ -7,7 +7,8 @@ file); index lines map a lowercase lemma to its synset offsets.  License
 header lines start with a space and are skipped.
 
 Every token of a record is validated, but only what taxonomic queries
-read is kept: the words and the hypernym targets.  The writer emits
+read is kept, as columns: offsets, words and (synset, hypernym) offset
+pairs.  Digit fields must be ASCII digits.  The writer emits
 byte-valid files (true byte offsets, trailing double-space line endings)
 and exists so toy fixtures and synthetic corpora ship in the exact format
 the parser consumes.
@@ -17,13 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from string import hexdigits
+from typing import Iterable
+
+import numpy as np
 
 POS_CHARS = {"noun": "n", "verb": "v", "adj": "a", "adv": "r"}
 SS_TYPES = {"noun": ("n",), "verb": ("v",), "adj": ("a", "s"), "adv": ("r",)}
 HYPERNYM_SYMBOLS = ("@", "@i")
+POINTER_POS = frozenset("nvar")
 
 _HEADER = "  1 Generated WNdb fixture data; not a real WordNet database.\n"
+_FRAME_FIELDS = ("frame marker", "frame number", "frame word number")
+_POINTER_FIELDS = ("pointer symbol", "pointer offset", "pointer pos",
+                   "pointer source/target")
 
 
 class WndbFormatError(ValueError):
@@ -35,29 +43,55 @@ class WndbFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataRecord:
-    offset: int
-    words: tuple[str, ...]  # lowercased, sense markers stripped
-    hypernyms: tuple[int, ...]  # "@" and "@i" targets, in file order
+class DataColumns:
+    """A data.<pos> file as columns: one synset per entry, in file order."""
+
+    offsets: np.ndarray  # int64 synset offsets
+    words: list[tuple[str, ...]]  # lowercased, sense markers stripped
+    hypernym_child: np.ndarray  # int64 offset of the synset holding the pointer
+    hypernym_parent: np.ndarray  # int64 "@"/"@i" target, in file order
 
 
 @dataclass(frozen=True)
-class IndexRecord:
-    lemma: str
-    offsets: tuple[int, ...]
+class IndexColumns:
+    """An index.<pos> file as columns: one lemma per line, in file order."""
+
+    lemmas: list[str]  # lowercased
+    counts: np.ndarray  # int64 number of synset offsets per lemma
+    offsets: np.ndarray  # int64 synset offsets of every lemma, concatenated
 
 
-def _lines_with_offsets(data: bytes) -> Iterator[tuple[int, bytes]]:
-    offset = 0
-    for line in data.split(b"\n"):
-        yield offset, line
-        offset += len(line) + 1
+def _digits(token: str) -> bool:
+    # str.isdigit alone also accepts digits such as "²" or "١".
+    return token.isascii() and token.isdigit()
 
 
-def _parse_offset(token: str, at: int, what: str) -> int:
-    if len(token) != 8 or not token.isdigit():
-        raise WndbFormatError(f"bad {what} {token!r}: expected 8-digit decimal", at)
-    return int(token)
+def _is_offset(token: str) -> bool:
+    return len(token) == 8 and _digits(token)
+
+
+def _offset_error(token: str, at: int, what: str) -> WndbFormatError:
+    return WndbFormatError(f"bad {what} {token!r}: expected 8-digit decimal", at)
+
+
+def _truncated(what: str, at: int) -> WndbFormatError:
+    return WndbFormatError(f"truncated record: expected {what}", at)
+
+
+def _to_int64(tokens: list[str]) -> np.ndarray:
+    return np.fromiter(map(int, tokens), np.int64, len(tokens))
+
+
+def _pointer_error(tokens: list[str], first: int, end: int, at: int) -> WndbFormatError:
+    """The first fault in the pointer fields ``tokens[first:end]``."""
+    stop = min(end, len(tokens))
+    for i in range(first, stop):
+        field = (i - first) % 4
+        if field == 1 and not _is_offset(tokens[i]):
+            return _offset_error(tokens[i], at, "pointer offset")
+        if field == 2 and tokens[i] not in POINTER_POS:
+            return WndbFormatError(f"bad pointer pos {tokens[i]!r}", at)
+    return _truncated(_POINTER_FIELDS[(stop - first) % 4], at)
 
 
 def _strip_marker(word: str) -> str:
@@ -67,115 +101,133 @@ def _strip_marker(word: str) -> str:
     return word
 
 
-def parse_data(data: bytes, pos: str) -> list[DataRecord]:
-    """Parse a data.<pos> payload into records, validating field layout."""
-    allowed = SS_TYPES[pos]
-    records: list[DataRecord] = []
-    for at, raw in _lines_with_offsets(data):
-        if not raw or raw.startswith(b" "):
+def _records(data: bytes):
+    """(byte offset, decoded line) of every record line; header lines
+    start with a space and are skipped."""
+    at = 0
+    for raw in data.split(b"\n"):
+        here = at
+        at += len(raw) + 1
+        if not raw or raw[0] == 32:
             continue
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise WndbFormatError(f"invalid UTF-8: {exc}", at) from exc
+            raise WndbFormatError(f"invalid UTF-8: {exc}", here) from exc
+        yield here, line
+
+
+def parse_data(data: bytes, pos: str) -> DataColumns:
+    """Parse a data.<pos> payload into columns, validating every field.
+
+    Each line is split once and its fixed layout is checked by position;
+    faults are reported in field order, with the line's byte offset.
+    """
+    allowed = SS_TYPES[pos]
+    verb = pos == "verb"
+    offsets: list[str] = []
+    words: list[tuple[str, ...]] = []
+    child: list[str] = []
+    parent: list[str] = []
+    for at, line in _records(data):
         head, sep, _gloss = line.partition(" | ")
         if not sep:
             raise WndbFormatError("missing gloss separator ' | '", at)
-        tokens = head.split()
-        pos_in_line = 0
-
-        def take(what: str) -> str:
-            nonlocal pos_in_line
-            if pos_in_line >= len(tokens):
-                raise WndbFormatError(f"truncated record: expected {what}", at)
-            token = tokens[pos_in_line]
-            pos_in_line += 1
-            return token
-
-        offset = _parse_offset(take("synset offset"), at, "synset offset")
-        take("lex filenum")
-        ss_type = take("ss type")
-        if ss_type not in allowed:
+        t = head.split()
+        n = len(t)
+        if not n:
+            raise _truncated("synset offset", at)
+        offset = t[0]
+        if not _is_offset(offset):
+            raise _offset_error(offset, at, "synset offset")
+        if n < 3:
+            raise _truncated(("lex filenum", "ss type")[n - 1], at)
+        if t[2] not in allowed:
             raise WndbFormatError(
-                f"synset type {ss_type!r} not valid in a {pos} file", at)
-        w_cnt_token = take("word count")
-        try:
-            w_cnt = int(w_cnt_token, 16)
-        except ValueError:
-            raise WndbFormatError(f"bad word count {w_cnt_token!r}", at) from None
-        if w_cnt < 1:
+                f"synset type {t[2]!r} not valid in a {pos} file", at)
+        if n < 4:
+            raise _truncated("word count", at)
+        w_cnt = t[3]
+        if not w_cnt.isascii() or w_cnt.strip(hexdigits):
+            raise WndbFormatError(f"bad word count {w_cnt!r}", at)
+        p_at = 4 + 2 * int(w_cnt, 16)
+        if p_at == 4:
             raise WndbFormatError("synset must carry at least one word", at)
-        words = []
-        for _ in range(w_cnt):
-            words.append(_strip_marker(take("word")).lower())
-            take("lex id")
-        p_cnt_token = take("pointer count")
-        if len(p_cnt_token) != 3 or not p_cnt_token.isdigit():
-            raise WndbFormatError(f"bad pointer count {p_cnt_token!r}", at)
-        hypernyms = []
-        for _ in range(int(p_cnt_token)):
-            symbol = take("pointer symbol")
-            target = _parse_offset(take("pointer offset"), at, "pointer offset")
-            ptr_pos = take("pointer pos")
-            if ptr_pos not in ("n", "v", "a", "r"):
-                raise WndbFormatError(f"bad pointer pos {ptr_pos!r}", at)
-            take("pointer source/target")
+        if n <= p_at:  # words and lex ids alternate from index 4
+            raise _truncated("pointer count" if n == p_at
+                             else ("word", "lex id")[n % 2], at)
+        p_cnt = t[p_at]
+        if len(p_cnt) != 3 or not _digits(p_cnt):
+            raise WndbFormatError(f"bad pointer count {p_cnt!r}", at)
+        end = p_at + 1 + 4 * int(p_cnt)
+        targets = t[p_at + 2:end:4]
+        if n < end or not POINTER_POS.issuperset(t[p_at + 3:end:4]) or (
+                targets and not (set(map(len, targets)) == {8}
+                                 and _digits("".join(targets)))):
+            raise _pointer_error(t, p_at + 1, end, at)
+        if verb:
+            if n == end:
+                raise _truncated("frame count", at)
+            f_cnt = t[end]
+            if not _digits(f_cnt):
+                raise WndbFormatError(f"bad frame count {f_cnt!r}", at)
+            last = end + 1 + 3 * int(f_cnt)
+            if n < last:
+                raise _truncated(_FRAME_FIELDS[(n - end - 1) % 3], at)
+            end = last
+        if n > end:
+            raise WndbFormatError(f"unexpected trailing tokens: {t[end:]!r}", at)
+        offsets.append(offset)
+        lemmas = t[4:p_at:2]
+        if ")" in head:
+            lemmas = map(_strip_marker, lemmas)
+        words.append(tuple(map(str.lower, lemmas)))
+        for symbol, target in zip(t[p_at + 1:end:4], targets):
             if symbol in HYPERNYM_SYMBOLS:
-                hypernyms.append(target)
-        if pos == "verb":
-            f_cnt_token = take("frame count")
-            if not f_cnt_token.isdigit():
-                raise WndbFormatError(f"bad frame count {f_cnt_token!r}", at)
-            for _ in range(int(f_cnt_token)):
-                take("frame marker")
-                take("frame number")
-                take("frame word number")
-        if pos_in_line != len(tokens):
-            raise WndbFormatError(
-                f"unexpected trailing tokens: {tokens[pos_in_line:]!r}", at)
-        records.append(DataRecord(offset, tuple(words), tuple(hypernyms)))
-    return records
+                child.append(offset)
+                parent.append(target)
+    return DataColumns(_to_int64(offsets), words, _to_int64(child),
+                       _to_int64(parent))
 
 
-def parse_index(data: bytes, pos: str) -> list[IndexRecord]:
-    """Parse an index.<pos> payload into (lemma, offsets) records."""
+def parse_index(data: bytes, pos: str) -> IndexColumns:
+    """Parse an index.<pos> payload into (lemma, synset offsets) columns."""
     pos_char = POS_CHARS[pos]
-    records: list[IndexRecord] = []
-    for at, raw in _lines_with_offsets(data):
-        if not raw or raw.startswith(b" "):
-            continue
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WndbFormatError(f"invalid UTF-8: {exc}", at) from exc
-        tokens = line.split()
-        if len(tokens) < 7:
+    lemmas: list[str] = []
+    counts: list[int] = []
+    offsets: list[str] = []
+    for at, line in _records(data):
+        t = line.split()
+        n = len(t)
+        if n < 7:
             raise WndbFormatError("truncated index record", at)
-        lemma = tokens[0].lower()
-        line_pos = tokens[1]
-        if line_pos != pos_char:
+        if t[1] != pos_char:
             raise WndbFormatError(
-                f"index pos {line_pos!r} does not match file pos {pos_char!r}", at)
-        try:
-            synset_cnt = int(tokens[2])
-            p_cnt = int(tokens[3])
-        except ValueError:
-            raise WndbFormatError("bad synset or pointer count", at) from None
+                f"index pos {t[1]!r} does not match file pos {pos_char!r}", at)
+        if not (_digits(t[2]) and _digits(t[3])):
+            raise WndbFormatError("bad synset or pointer count", at)
+        synset_cnt = int(t[2])
         if synset_cnt < 1:
             raise WndbFormatError("lemma must map to at least one synset", at)
-        rest = tokens[4 + p_cnt:]
-        if len(rest) != 2 + synset_cnt:
-            raise WndbFormatError(
-                f"expected {2 + synset_cnt} trailing fields, got {len(rest)}", at)
-        offsets = tuple(_parse_offset(tok, at, "index offset") for tok in rest[2:])
-        records.append(IndexRecord(lemma, offsets))
-    return records
+        first = 6 + int(t[3])  # lemma, pos, 2 counts, pointers, 2 sense counts
+        if n - first != synset_cnt:
+            raise WndbFormatError(f"expected {2 + synset_cnt} trailing fields, "
+                                  f"got {max(n - first + 2, 0)}", at)
+        synsets = t[first:]
+        if not (set(map(len, synsets)) == {8} and _digits("".join(synsets))):
+            bad = next(tok for tok in synsets if not _is_offset(tok))
+            raise _offset_error(bad, at, "index offset")
+        lemmas.append(t[0].lower())
+        counts.append(synset_cnt)
+        offsets += synsets
+    return IndexColumns(lemmas, np.array(counts, dtype=np.int64),
+                        _to_int64(offsets))
 
 
-def read_database(index_path, data_path, pos: str) -> tuple[list[IndexRecord], list[DataRecord]]:
-    index_records = parse_index(Path(index_path).read_bytes(), pos)
-    data_records = parse_data(Path(data_path).read_bytes(), pos)
-    return index_records, data_records
+def read_database(index_path, data_path, pos: str) -> tuple[IndexColumns, DataColumns]:
+    index = parse_index(Path(index_path).read_bytes(), pos)
+    data = parse_data(Path(data_path).read_bytes(), pos)
+    return index, data
 
 
 # -- fixture / corpus writer -------------------------------------------

@@ -16,12 +16,15 @@ to a synset also count toward every ancestor, and ic = -ln(count / total).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .wndb import POS_CHARS, read_database
+import numpy as np
+
+from .wndb import POS_CHARS, DataColumns, IndexColumns, read_database
 
 ROOT = 0  # synthetic root synset offset, one per taxonomy
 
@@ -46,19 +49,24 @@ class IcCountsError(ValueError):
 class Taxonomy:
     """Rooted hypernym DAG for one part of speech.
 
-    ``synsets`` maps each synset offset to its lemma tuple.
+    ``synsets`` maps each synset offset to its lemma tuple.  Internally a
+    synset also has a dense id, its rank in offset order; the root is id 0.
+    `subsumers` and the IC counts read the ancestor closure over dense ids.
     """
 
     __slots__ = ("pos", "synsets", "_parents", "_children", "_lemma_index",
-                 "_subsumers")
+                 "_ids", "_closure")
 
-    def __init__(self, pos, synsets, parents, children, lemma_index):
+    def __init__(self, pos, synsets, parents, children, lemma_index, ids,
+                 closure):
         self.pos = pos
         self.synsets = synsets
         self._parents = parents
         self._children = children
         self._lemma_index = lemma_index
-        self._subsumers: dict[int, frozenset[int]] = {ROOT: frozenset((ROOT,))}
+        self._ids = ids  # offset of each dense id, ascending, ROOT first
+        # CSR (indptr, ancestor ids): row d holds d's subsumers, ascending.
+        self._closure = closure
 
     @classmethod
     def build(
@@ -73,90 +81,98 @@ class Taxonomy:
         ``hypernyms`` maps a synset offset to its parent offsets; synsets
         with no parents are attached to the synthetic root.  When
         ``lemma_index`` is omitted it is derived from the synset lemmas.
+        Lemma keys are lowercased, and keys that then collide are merged.
+        """
+        hypernyms = hypernyms or {}
+        offsets = list(synsets)
+        child = [o for o in offsets for _ in hypernyms.get(o, ())]
+        parent = [p for o in offsets for p in hypernyms.get(o, ())]
+        data = DataColumns(
+            np.array(offsets, dtype=np.int64),
+            [tuple(str(w).lower() for w in synsets[o]) for o in offsets],
+            np.array(child, dtype=np.int64), np.array(parent, dtype=np.int64))
+        index = None
+        if lemma_index is not None:
+            entries = [(str(lemma).lower(), list(offs))
+                       for lemma, offs in lemma_index.items()]
+            index = IndexColumns(
+                [key for key, _ in entries],
+                np.array([len(offs) for _, offs in entries], dtype=np.int64),
+                np.array([o for _, offs in entries for o in offs],
+                         dtype=np.int64))
+        return cls.from_columns(pos, data, index)
+
+    @classmethod
+    def from_columns(cls, pos: str, data: DataColumns,
+                     index: IndexColumns | None = None) -> "Taxonomy":
+        """Construct and validate a taxonomy from parsed WNdb columns.
+
+        Of several faults, the first of these is reported: a duplicate
+        offset, the first in file order; a reserved offset or an empty
+        lemma tuple, the smallest offset; a self-loop or a missing
+        hypernym, on the smallest (synset, hypernym) offsets; an empty or
+        synset-less index entry, the first; a missing synset in the index,
+        the smallest under the first lemma; a hypernym cycle.
         """
         if pos not in POS_CHARS:
             raise ValueError(f"unknown part of speech {pos!r}")
-        hypernyms = hypernyms or {}
-        built: dict[int, tuple[str, ...]] = {}
-        for offset in sorted(synsets):
+        file_order = data.offsets
+        order = np.argsort(file_order, kind="stable")
+        offs = file_order[order]
+        repeated = np.flatnonzero(offs[1:] == offs[:-1])
+        if len(repeated):
+            first = order[repeated + 1].min()
+            raise TaxonomyStructureError(
+                f"duplicate synset offset {file_order[first]:08d}")
+        words = [data.words[i] for i in order.tolist()]
+        bare = np.flatnonzero((offs == ROOT)
+                              | (np.fromiter(map(len, words), np.int64,
+                                             len(words)) == 0))
+        if len(bare):
+            offset = int(offs[bare[0]])
             if offset == ROOT:
                 raise TaxonomyStructureError(
                     "synset offset 0 is reserved for the synthetic root")
-            lemmas = tuple(str(w).lower() for w in synsets[offset])
-            if not lemmas:
-                raise TaxonomyStructureError(
-                    f"synset {offset:08d} carries no lemmas")
-            built[offset] = lemmas
+            raise TaxonomyStructureError(f"synset {offset:08d} carries no lemmas")
 
-        parents: dict[int, tuple[int, ...]] = {}
-        children: dict[int, list[int]] = {ROOT: []}
-        for offset in built:
-            raw = sorted(set(hypernyms.get(offset, ())))
-            for target in raw:
-                if target == offset:
-                    raise TaxonomyStructureError(
-                        f"synset {offset:08d} is its own hypernym")
-                if target != ROOT and target not in built:
-                    raise TaxonomyStructureError(
-                        f"synset {offset:08d} points at missing hypernym "
-                        f"{target:08d}")
-            parents[offset] = tuple(raw) if raw else (ROOT,)
-            for target in parents[offset]:
-                children.setdefault(target, []).append(offset)
-        frozen_children = {
-            parent: tuple(sorted(kids)) for parent, kids in children.items()
-        }
+        ids = np.r_[np.int64(ROOT), offs]
+        n = len(ids)
+        child = np.searchsorted(ids, data.hypernym_child)
+        parent, found = _lookup(ids, data.hypernym_parent)
+        bad = np.flatnonzero(~found | (data.hypernym_child == data.hypernym_parent))
+        if len(bad):
+            first = bad[np.lexsort((data.hypernym_parent[bad],
+                                    data.hypernym_child[bad]))[0]]
+            c, p = int(data.hypernym_child[first]), int(data.hypernym_parent[first])
+            if c == p:
+                raise TaxonomyStructureError(f"synset {c:08d} is its own hypernym")
+            raise TaxonomyStructureError(
+                f"synset {c:08d} points at missing hypernym {p:08d}")
+        # Synsets without hypernyms hang from the root.  Sorting int64
+        # child * n + parent keys dedups the edges and orders them by child.
+        orphans = np.ones(n, dtype=bool)
+        orphans[child] = False
+        orphans[ROOT] = False
+        keys = _sorted_unique(np.r_[child * n + parent, np.flatnonzero(orphans) * n])
+        child, parent = keys // n, keys % n
 
-        index: dict[str, tuple[int, ...]] = {}
-        if lemma_index is None:
-            derived: dict[str, set[int]] = {}
-            for offset, lemmas in built.items():
-                for lemma in lemmas:
-                    derived.setdefault(lemma, set()).add(offset)
-            index = {lemma: tuple(sorted(offs)) for lemma, offs in derived.items()}
-        else:
-            for lemma, offs in lemma_index.items():
-                key = str(lemma).lower()
-                if not key:
-                    raise TaxonomyStructureError("empty lemma in index")
-                uniq = sorted(set(offs))
-                if not uniq:
-                    raise TaxonomyStructureError(
-                        f"lemma {key!r} maps to no synsets")
-                for off in uniq:
-                    if off not in built:
-                        raise TaxonomyStructureError(
-                            f"lemma {key!r} references missing synset {off:08d}")
-                index[key] = tuple(uniq)
+        lemma_index = _lemma_index(ids, words, index)
+        by_parent = np.argsort(parent, kind="stable")
+        depth = _depths(n, child[by_parent], parent[by_parent])
+        if depth.min() < 0:
+            _raise_cycle(ids, child, parent, depth < 0)
 
-        tax = cls(pos, built, parents, frozen_children, index)
-        tax._check_acyclic()
-        return tax
+        kids, parent_tuples = _runs(child, ids[parent])
+        parents = dict(zip(ids[kids].tolist(), parent_tuples))
+        heads, child_tuples = _runs(parent[by_parent], ids[child[by_parent]])
+        children = {ROOT: ()}
+        children.update(zip(ids[heads].tolist(), child_tuples))
+        synsets = dict(zip(offs.tolist(), words))
+        return cls(pos, synsets, parents, children, lemma_index, ids,
+                   _closure(child, parent, depth))
 
-    def _check_acyclic(self) -> None:
-        black: set[int] = set()
-        for start in self.synsets:
-            if start in black:
-                continue
-            gray = {start}
-            stack = [(start, iter(self.parents(start)))]
-            while stack:
-                node, parent_iter = stack[-1]
-                advanced = False
-                for parent in parent_iter:
-                    if parent == ROOT or parent in black:
-                        continue
-                    if parent in gray:
-                        raise TaxonomyStructureError(
-                            f"hypernym cycle through synset {parent:08d}")
-                    gray.add(parent)
-                    stack.append((parent, iter(self.parents(parent))))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    gray.discard(node)
-                    black.add(node)
+    def _dense(self, offsets) -> np.ndarray:
+        return np.searchsorted(self._ids, offsets)
 
     @property
     def num_synsets(self) -> int:
@@ -199,45 +215,145 @@ class Taxonomy:
 
     def subsumers(self, offset: int) -> frozenset[int]:
         """All ancestors of a synset, itself and the root included."""
-        memo = self._subsumers
-        cached = memo.get(offset)
-        if cached is not None:
-            return cached
         if offset != ROOT and offset not in self.synsets:
             raise KeyError(offset)
-        stack = [offset]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            missing = [p for p in self.parents(node) if p not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {node}
-            for parent in self.parents(node):
-                acc.update(memo[parent])
-            memo[node] = frozenset(acc)
-            stack.pop()
-        return memo[offset]
+        indptr, anc = self._closure
+        d = int(self._dense(offset))
+        return frozenset(self._ids[anc[indptr[d]:indptr[d + 1]]].tolist())
+
+
+def _runs(groups: np.ndarray, values: np.ndarray) -> tuple[list, list[tuple]]:
+    """Group ids and value tuples of each run of equal, sorted ``groups``."""
+    if not len(groups):
+        return [], []
+    firsts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    vals = values.tolist()
+    tuples = list(zip(values[firsts].tolist()))
+    # Most runs hold one value; rebuild only the longer ones.
+    bounds = np.r_[firsts, len(groups)]
+    ends = bounds.tolist()
+    for run in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        tuples[run] = tuple(vals[ends[run]:ends[run + 1]])
+    return groups[firsts].tolist(), tuples
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # np.unique would do, but at these sizes it is many times slower.
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+
+
+def _lookup(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of ``offsets`` and whether each offset is a synset."""
+    dense = np.minimum(np.searchsorted(ids, offsets), len(ids) - 1)
+    return dense, ids[dense] == offsets
+
+
+def _lemma_index(ids: np.ndarray, words: list[tuple[str, ...]],
+                 index: IndexColumns | None) -> dict[str, tuple[int, ...]]:
+    """Lemma -> ascending synset offsets, from an index or from the synsets'
+    own lemmas.  Index entries whose keys are equal are merged."""
+    if index is None:
+        lemmas = [lemma for ws in words for lemma in ws]
+        offsets = np.repeat(ids[1:], np.fromiter(map(len, words), np.int64,
+                                                 len(words)))
+    else:
+        lemmas, offsets = index.lemmas, index.offsets
+        if "" in lemmas or not index.counts.all():
+            for lemma, count in zip(lemmas, index.counts.tolist()):
+                if not lemma:
+                    raise TaxonomyStructureError("empty lemma in index")
+                if not count:
+                    raise TaxonomyStructureError(
+                        f"lemma {lemma!r} maps to no synsets")
+    keys = dict(zip(dict.fromkeys(lemmas), itertools.count()))
+    key_ids = np.fromiter(map(keys.__getitem__, lemmas), np.int64, len(lemmas))
+    if index is not None:
+        key_ids = np.repeat(key_ids, index.counts)
+    dense, found = _lookup(ids, offsets)
+    found &= offsets != ROOT
+    if not found.all():
+        bad = np.flatnonzero(~found)
+        first = bad[np.lexsort((offsets[bad], key_ids[bad]))[0]]
+        name = list(keys)[key_ids[first]]
+        raise TaxonomyStructureError(
+            f"lemma {name!r} references missing synset {offsets[first]:08d}")
+    pairs = _sorted_unique(key_ids * len(ids) + dense)
+    _, tuples = _runs(pairs // len(ids), ids[pairs % len(ids)])
+    return dict(zip(keys, tuples))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``lo[i]:hi[i]``."""
+    lens = hi - lo
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def _depths(n: int, child: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Longest hypernym path from the root to each id; -1 for ids on or
+    under a cycle.  Edges come sorted by parent.  An id is placed in the
+    round after its last parent, so each round places one depth level."""
+    starts = np.searchsorted(parent, np.arange(n + 1))
+    waiting = np.bincount(child, minlength=n)  # parents not yet placed
+    depth = np.full(n, -1, dtype=np.int64)
+    placed = np.flatnonzero(waiting == 0)  # the root: synsets have parents
+    level = 0
+    while len(placed):
+        depth[placed] = level
+        kids = child[_ranges(starts[placed], starts[placed + 1])]
+        waiting -= np.bincount(kids, minlength=n)
+        placed = _sorted_unique(kids[waiting[kids] == 0])
+        level += 1
+    return depth
+
+
+def _raise_cycle(ids: np.ndarray, child: np.ndarray, parent: np.ndarray,
+                 stuck: np.ndarray) -> None:
+    # Every id left unplaced has an unplaced parent, so climbing through
+    # them from the smallest must revisit an id, and that id is on a cycle.
+    # Edges come sorted by child.
+    node, seen = int(np.flatnonzero(stuck)[0]), set()
+    while node not in seen:
+        seen.add(node)
+        lo, hi = np.searchsorted(child, [node, node + 1])
+        node = next(p for p in parent[lo:hi].tolist() if stuck[p])
+    raise TaxonomyStructureError(f"hypernym cycle through synset {ids[node]:08d}")
+
+
+def _closure(child: np.ndarray, parent: np.ndarray, depth: np.ndarray):
+    """CSR (indptr, ancestor ids) of the ancestor closure of a DAG.
+
+    Rows are built one depth level at a time, so the rows of a synset's
+    parents are complete when it reads them.
+    """
+    n = len(depth)
+    levels = np.arange(depth.max() + 2)
+    by_edge = np.argsort(depth[child], kind="stable")
+    edge_cuts = np.searchsorted(depth[child][by_edge], levels).tolist()
+    by_node = np.argsort(depth, kind="stable")
+    node_cuts = np.searchsorted(depth[by_node], levels).tolist()
+    start = np.zeros(n, dtype=np.int64)  # where each id's row sits in rows
+    length = np.ones(n, dtype=np.int64)
+    rows = np.zeros(1, dtype=np.int32)  # the root's row: {root}
+    for level in range(1, len(levels) - 1):
+        edges = by_edge[edge_cuts[level]:edge_cuts[level + 1]]
+        nodes = by_node[node_cuts[level]:node_cuts[level + 1]]
+        c, p = child[edges], parent[edges]
+        # Each (child, ancestor of parent) pair, plus (node, node).
+        ancestors = rows[_ranges(start[p], start[p] + length[p])]
+        keys = _sorted_unique(np.r_[np.repeat(c, length[p]) * n + ancestors,
+                                    nodes * n + nodes])
+        firsts = np.searchsorted(keys // n, nodes)
+        start[nodes] = len(rows) + firsts
+        length[nodes] = np.diff(np.r_[firsts, len(keys)])
+        rows = np.concatenate((rows, (keys % n).astype(np.int32)))
+    return np.r_[0, np.cumsum(length)], rows[_ranges(start, start + length)]
 
 
 def load_taxonomy(index_path, data_path, pos: str) -> Taxonomy:
     """Load one part of speech from its WNdb index and data files."""
-    index_records, data_records = read_database(index_path, data_path, pos)
-    synsets: dict[int, tuple[str, ...]] = {}
-    hypernyms: dict[int, tuple[int, ...]] = {}
-    for record in data_records:
-        if record.offset in synsets:
-            raise TaxonomyStructureError(
-                f"duplicate synset offset {record.offset:08d}")
-        synsets[record.offset] = record.words
-        hypernyms[record.offset] = record.hypernyms
-    lemma_index: dict[str, list[int]] = {}
-    for record in index_records:
-        lemma_index.setdefault(record.lemma, []).extend(record.offsets)
-    return Taxonomy.build(pos, synsets, hypernyms, lemma_index)
+    index, data = read_database(index_path, data_path, pos)
+    return Taxonomy.from_columns(pos, data, index)
 
 
 def load_wordnet_dir(directory, required: Sequence[str] = ("noun",)) -> dict[str, Taxonomy]:
@@ -376,7 +492,11 @@ def ic_from_counts(
     """
     if smoothing < 0:
         raise IcCountsError("smoothing must be non-negative")
-    own = {offset: float(smoothing) for offset in tax.synsets}
+    ids = tax._ids
+    own = np.full(len(ids), float(smoothing))
+    own[ROOT] = 0.0
+    targets: list[int] = []
+    masses: list[float] = []
     skipped = 0
     for lemma, count in (lemma_counts or {}).items():
         count = float(count)
@@ -386,30 +506,30 @@ def ic_from_counts(
         if not offs:
             skipped += 1
             continue
-        share = count / len(offs)
-        for off in offs:
-            own[off] += share
+        targets += offs
+        masses += [count / len(offs)] * len(offs)
     for offset, count in (synset_counts or {}).items():
         count = float(count)
         if count < 0:
             raise IcCountsError(f"negative count for synset {offset:08d}")
-        if offset not in own:
+        if offset not in tax.synsets:
             skipped += 1
             continue
-        own[offset] += count
+        targets.append(offset)
+        masses.append(count)
+    # add.at adds in list order, the order a loop over the counts would.
+    np.add.at(own, tax._dense(np.array(targets, dtype=np.int64)), masses)
 
-    cumulative = {offset: 0.0 for offset in tax.synsets}
-    cumulative[ROOT] = 0.0
-    for offset in sorted(own):  # fixed order keeps float sums reproducible
-        mass = own[offset]
-        if mass == 0.0:
-            continue
-        for ancestor in sorted(tax.subsumers(offset)):
-            cumulative[ancestor] += mass
-    total = cumulative[ROOT]
+    # Each ancestor sums its descendants' mass in ascending offset order:
+    # closure rows come by dense id and bincount adds in input order.
+    indptr, anc = tax._closure
+    mass = np.repeat(own, np.diff(indptr))
+    cumulative = np.bincount(anc, weights=mass, minlength=len(ids))
+    total = float(cumulative[ROOT])
     if total <= 0.0:
         raise IcCountsError("counts carry no mass; supply counts or smoothing")
-    return ICTable(tax.pos, cumulative, total, float(smoothing), skipped)
+    counts = dict(zip(ids.tolist(), cumulative.tolist()))
+    return ICTable(tax.pos, counts, total, float(smoothing), skipped)
 
 
 def parse_ic_counts(stream: IO[bytes] | Iterable[bytes]) -> tuple[str, list[tuple[str, float]]]:
@@ -451,6 +571,9 @@ def parse_ic_counts(stream: IO[bytes] | Iterable[bytes]) -> tuple[str, list[tupl
         except ValueError:
             raise IcCountsError(
                 f"line {line_number}: bad count {value!r}") from None
+        if not math.isfinite(count):
+            raise IcCountsError(
+                f"line {line_number}: count {value!r} is not finite")
         entries.append((key, count))
     if mode is None:
         raise IcCountsError("missing #ic-counts: header")

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from string import hexdigits
 
 import numpy as np
+
+from folkrel.wndb import HYPERNYM_SYMBOLS, POS_CHARS, SS_TYPES, WndbFormatError
+from folkrel.wordnet import ROOT, TaxonomyStructureError
 
 
 def node_order(f):
@@ -212,3 +216,296 @@ def folkrank_order(g, diff, node):
                for tid, name in enumerate(g.tags) if t_off + tid != node]
     entries.sort()
     return [(name, -neg) for neg, name in entries]
+
+
+# -- WNdb taxonomies ------------------------------------------------------
+#
+# The per-token WNdb parser, the dict-building taxonomy loops with their DFS
+# cycle check and the subsumer-set IC loop that ``folkrel.wndb`` and
+# ``folkrel.wordnet`` replaced with columns and arrays.  Faults are checked
+# in the same order, so each input raises the same message from both
+# (cycles aside: the DFS may name another synset on the same cycle).
+
+def _lines_with_offsets(data):
+    offset = 0
+    for line in data.split(b"\n"):
+        yield offset, line
+        offset += len(line) + 1
+
+
+def _ascii_digits(token):
+    return all("0" <= c <= "9" for c in token) and token != ""
+
+
+def _parse_offset(token, at, what):
+    if len(token) != 8 or not _ascii_digits(token):
+        raise WndbFormatError(f"bad {what} {token!r}: expected 8-digit decimal", at)
+    return int(token)
+
+
+def _strip_marker(word):
+    if word.endswith(")") and "(" in word:
+        return word[: word.rindex("(")]
+    return word
+
+
+def parse_data_records(data, pos):
+    """[(offset, words, hypernym targets)] of a data.<pos> payload."""
+    allowed = SS_TYPES[pos]
+    records = []
+    for at, raw in _lines_with_offsets(data):
+        if not raw or raw.startswith(b" "):
+            continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WndbFormatError(f"invalid UTF-8: {exc}", at) from exc
+        head, sep, _gloss = line.partition(" | ")
+        if not sep:
+            raise WndbFormatError("missing gloss separator ' | '", at)
+        tokens = head.split()
+        pos_in_line = 0
+
+        def take(what):
+            nonlocal pos_in_line
+            if pos_in_line >= len(tokens):
+                raise WndbFormatError(f"truncated record: expected {what}", at)
+            token = tokens[pos_in_line]
+            pos_in_line += 1
+            return token
+
+        offset = _parse_offset(take("synset offset"), at, "synset offset")
+        take("lex filenum")
+        ss_type = take("ss type")
+        if ss_type not in allowed:
+            raise WndbFormatError(
+                f"synset type {ss_type!r} not valid in a {pos} file", at)
+        w_cnt_token = take("word count")
+        if not all(c in hexdigits for c in w_cnt_token):
+            raise WndbFormatError(f"bad word count {w_cnt_token!r}", at)
+        w_cnt = int(w_cnt_token, 16)
+        if w_cnt < 1:
+            raise WndbFormatError("synset must carry at least one word", at)
+        words = []
+        for _ in range(w_cnt):
+            words.append(_strip_marker(take("word")).lower())
+            take("lex id")
+        p_cnt_token = take("pointer count")
+        if len(p_cnt_token) != 3 or not _ascii_digits(p_cnt_token):
+            raise WndbFormatError(f"bad pointer count {p_cnt_token!r}", at)
+        hypernyms = []
+        for _ in range(int(p_cnt_token)):
+            symbol = take("pointer symbol")
+            target = _parse_offset(take("pointer offset"), at, "pointer offset")
+            ptr_pos = take("pointer pos")
+            if ptr_pos not in ("n", "v", "a", "r"):
+                raise WndbFormatError(f"bad pointer pos {ptr_pos!r}", at)
+            take("pointer source/target")
+            if symbol in HYPERNYM_SYMBOLS:
+                hypernyms.append(target)
+        if pos == "verb":
+            f_cnt_token = take("frame count")
+            if not _ascii_digits(f_cnt_token):
+                raise WndbFormatError(f"bad frame count {f_cnt_token!r}", at)
+            for _ in range(int(f_cnt_token)):
+                take("frame marker")
+                take("frame number")
+                take("frame word number")
+        if pos_in_line != len(tokens):
+            raise WndbFormatError(
+                f"unexpected trailing tokens: {tokens[pos_in_line:]!r}", at)
+        records.append((offset, tuple(words), tuple(hypernyms)))
+    return records
+
+
+def parse_index_records(data, pos):
+    """[(lemma, synset offsets)] of an index.<pos> payload."""
+    pos_char = POS_CHARS[pos]
+    records = []
+    for at, raw in _lines_with_offsets(data):
+        if not raw or raw.startswith(b" "):
+            continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WndbFormatError(f"invalid UTF-8: {exc}", at) from exc
+        tokens = line.split()
+        if len(tokens) < 7:
+            raise WndbFormatError("truncated index record", at)
+        lemma = tokens[0].lower()
+        if tokens[1] != pos_char:
+            raise WndbFormatError(
+                f"index pos {tokens[1]!r} does not match file pos {pos_char!r}", at)
+        if not (_ascii_digits(tokens[2]) and _ascii_digits(tokens[3])):
+            raise WndbFormatError("bad synset or pointer count", at)
+        synset_cnt = int(tokens[2])
+        p_cnt = int(tokens[3])
+        if synset_cnt < 1:
+            raise WndbFormatError("lemma must map to at least one synset", at)
+        rest = tokens[4 + p_cnt:]
+        if len(rest) != 2 + synset_cnt:
+            raise WndbFormatError(
+                f"expected {2 + synset_cnt} trailing fields, got {len(rest)}", at)
+        offsets = tuple(_parse_offset(tok, at, "index offset") for tok in rest[2:])
+        records.append((lemma, offsets))
+    return records
+
+
+class DictTaxonomy:
+    """A taxonomy as dicts of tuples, built and checked one synset at a time."""
+
+    def __init__(self, synsets, hypernyms=None, lemma_index=None):
+        hypernyms = hypernyms or {}
+        built = {}
+        for offset in sorted(synsets):
+            if offset == ROOT:
+                raise TaxonomyStructureError(
+                    "synset offset 0 is reserved for the synthetic root")
+            lemmas = tuple(str(w).lower() for w in synsets[offset])
+            if not lemmas:
+                raise TaxonomyStructureError(
+                    f"synset {offset:08d} carries no lemmas")
+            built[offset] = lemmas
+
+        parents = {}
+        children = {ROOT: []}
+        for offset in built:
+            raw = sorted(set(hypernyms.get(offset, ())))
+            for target in raw:
+                if target == offset:
+                    raise TaxonomyStructureError(
+                        f"synset {offset:08d} is its own hypernym")
+                if target != ROOT and target not in built:
+                    raise TaxonomyStructureError(
+                        f"synset {offset:08d} points at missing hypernym "
+                        f"{target:08d}")
+            parents[offset] = tuple(raw) if raw else (ROOT,)
+            for target in parents[offset]:
+                children.setdefault(target, []).append(offset)
+
+        merged = {}
+        if lemma_index is None:
+            for offset, lemmas in built.items():
+                for lemma in lemmas:
+                    merged.setdefault(lemma, set()).add(offset)
+        else:
+            for lemma, offs in lemma_index.items():
+                key = str(lemma).lower()
+                if not key:
+                    raise TaxonomyStructureError("empty lemma in index")
+                if not offs:
+                    raise TaxonomyStructureError(
+                        f"lemma {key!r} maps to no synsets")
+            for lemma, offs in lemma_index.items():
+                merged.setdefault(str(lemma).lower(), set()).update(offs)
+            for key, offs in merged.items():
+                for off in sorted(offs):
+                    if off not in built:
+                        raise TaxonomyStructureError(
+                            f"lemma {key!r} references missing synset {off:08d}")
+
+        self.synsets = built
+        self._parents = parents
+        self._children = {p: tuple(sorted(kids)) for p, kids in children.items()}
+        self.lemma_index = {key: tuple(sorted(offs)) for key, offs in merged.items()}
+        self._subsumers = {ROOT: frozenset((ROOT,))}
+        self._check_acyclic()
+
+    def _check_acyclic(self):
+        black = set()
+        for start in self.synsets:
+            if start in black:
+                continue
+            gray = {start}
+            stack = [(start, iter(self.parents(start)))]
+            while stack:
+                node, parent_iter = stack[-1]
+                advanced = False
+                for parent in parent_iter:
+                    if parent == ROOT or parent in black:
+                        continue
+                    if parent in gray:
+                        raise TaxonomyStructureError(
+                            f"hypernym cycle through synset {parent:08d}")
+                    gray.add(parent)
+                    stack.append((parent, iter(self.parents(parent))))
+                    advanced = True
+                    break
+                if not advanced:
+                    stack.pop()
+                    gray.discard(node)
+                    black.add(node)
+
+    def parents(self, offset):
+        return () if offset == ROOT else self._parents[offset]
+
+    def children(self, offset):
+        return self._children.get(offset, ())
+
+    def synsets_of(self, lemma):
+        return self.lemma_index[lemma.lower()]
+
+    def subsumers(self, offset):
+        memo = self._subsumers
+        stack = [offset]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            missing = [p for p in self.parents(node) if p not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {node}
+            for parent in self.parents(node):
+                acc.update(memo[parent])
+            memo[node] = frozenset(acc)
+            stack.pop()
+        return memo[offset]
+
+
+def load_dict_taxonomy(index_bytes, data_bytes, pos):
+    """Parse a WNdb database with the per-token parser into a DictTaxonomy."""
+    index_records = parse_index_records(index_bytes, pos)
+    data_records = parse_data_records(data_bytes, pos)
+    synsets = {}
+    hypernyms = {}
+    for offset, words, targets in data_records:
+        if offset in synsets:
+            raise TaxonomyStructureError(f"duplicate synset offset {offset:08d}")
+        synsets[offset] = words
+        hypernyms[offset] = targets
+    lemma_index = {}
+    for lemma, offsets in index_records:
+        lemma_index.setdefault(lemma, []).extend(offsets)
+    return DictTaxonomy(synsets, hypernyms, lemma_index)
+
+
+def ic_counts(tax, lemma_counts=None, synset_counts=None, smoothing=1.0):
+    """(cumulative counts, total, skipped): each synset's own mass added to
+    every subsumer, synsets taken in ascending offset order."""
+    own = {offset: float(smoothing) for offset in tax.synsets}
+    skipped = 0
+    for lemma, count in (lemma_counts or {}).items():
+        offs = tax.lemma_index.get(str(lemma).lower())
+        if not offs:
+            skipped += 1
+            continue
+        share = float(count) / len(offs)
+        for off in offs:
+            own[off] += share
+    for offset, count in (synset_counts or {}).items():
+        if offset not in own:
+            skipped += 1
+            continue
+        own[offset] += float(count)
+    cumulative = {offset: 0.0 for offset in tax.synsets}
+    cumulative[ROOT] = 0.0
+    for offset in sorted(own):
+        mass = own[offset]
+        if mass == 0.0:
+            continue
+        for ancestor in sorted(tax.subsumers(offset)):
+            cumulative[ancestor] += mass
+    return cumulative, cumulative[ROOT], skipped

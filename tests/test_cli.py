@@ -276,6 +276,38 @@ def test_ground_malformed_ic_file_exits_1(ground_posts, tmp_path, capsys):
     assert "header" in stderr
 
 
+@pytest.mark.parametrize("name,old,new,fragment", [
+    # A non-ASCII digit in an offset used to escape as a bare ValueError.
+    ("data.noun", b"00000062 03 n", "0000006\u00b2 03 n".encode(), "byte 62: "),
+    ("index.noun", b"car n 1 1 @ 1 0", "car n \u0661 1 @ 1 0".encode(), "byte "),
+])
+def test_ground_malformed_wordnet_file_exits_1(ground_posts, tmp_path, capsys,
+                                                name, old, new, fragment):
+    wordnet = tmp_path / "wordnet"
+    wordnet.mkdir()
+    for source in WNDB_DIR.iterdir():
+        (wordnet / source.name).write_bytes(source.read_bytes())
+    corrupt = (wordnet / name).read_bytes()
+    assert old in corrupt
+    (wordnet / name).write_bytes(corrupt.replace(old, new, 1))
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(wordnet),
+                          "--out", str(tmp_path / "report"))
+    assert code == 1
+    assert fragment in stderr
+
+
+def test_ground_non_finite_ic_count_exits_1(ground_posts, tmp_path, capsys):
+    ic_path = tmp_path / "counts.tsv"
+    ic_path.write_bytes(b"#ic-counts:lemma\ndog\t1\ncat\tinf\n")
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(WNDB_DIR),
+                          "--ic-file", str(ic_path),
+                          "--out", str(tmp_path / "report"))
+    assert code == 1
+    assert "line 3" in stderr and "not finite" in stderr
+
+
 def test_ground_uncovered_corpus_still_succeeds(tmp_path, capsys):
     posts = tmp_path / "posts.tsv"
     posts.write_bytes(b"u1\tr1\tqqq,zzz\n")

@@ -1,23 +1,32 @@
-"""Differential tests: the CSR co-occurrence graph and the numpy FolkRank
-selection against the dict-based reference in ``oracles``.
+"""Differential tests: the CSR co-occurrence graph, the numpy FolkRank
+selection and the array-built WNdb taxonomy against the references in
+``oracles``.
 
 Agreement is exact: the same tags with the same float scores in the same
-order, ties included.
+order, ties included; the same taxonomy, IC counts to the last bit, and
+the same error message for the same malformed input.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from folkrel.core import Folksonomy
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
 from folkrel.folkrank import build_folkgraph, folkrank_relatedness, rank
+from folkrel.wndb import WndbFormatError, parse_data, parse_index, render_database
+from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError,
+                             ic_from_counts)
 
 import oracles
-from strategies import UNICODE_TAG_POOL, duplicate, posts_lists
+from strategies import (LEMMA_POOL, UNICODE_TAG_POOL, duplicate, posts_lists,
+                        synset_specs, taxonomy_inputs)
 
 CASES = settings(max_examples=200, deadline=None)
 
@@ -83,3 +92,281 @@ def test_folded_graph_matches_dense_fold(posts):
     # Canonical CSR fixes the summation order of every walk step.
     assert g.adjacency.has_canonical_format
     assert np.array_equal(g.adjacency.toarray(), expected[np.ix_(perm, perm)])
+
+
+# -- WNdb taxonomies against the per-token parser and dict-building loops --
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (WndbFormatError, TaxonomyStructureError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_taxonomy(tax, ref):
+    assert tax.synsets == ref.synsets
+    for offset in [ROOT, *ref.synsets]:
+        assert tax.parents(offset) == ref.parents(offset)
+        assert tax.children(offset) == ref.children(offset)
+        assert tax.subsumers(offset) == ref.subsumers(offset)
+    assert sorted(tax.lemmas) == sorted(ref.lemma_index)
+    for lemma in ref.lemma_index:
+        assert tax.synsets_of(lemma) == ref.synsets_of(lemma)
+        assert tax.synsets_of(lemma.upper()) == ref.synsets_of(lemma)
+
+
+def load_columns(index_bytes, data_bytes, pos):
+    return Taxonomy.from_columns(pos, parse_data(data_bytes, pos),
+                                 parse_index(index_bytes, pos))
+
+
+def data_records(data):
+    """DataColumns in the oracle's [(offset, words, hypernyms)] shape."""
+    hypernyms = {}
+    for child, parent in zip(data.hypernym_child.tolist(),
+                             data.hypernym_parent.tolist()):
+        hypernyms.setdefault(child, []).append(parent)
+    return [(offset, words, tuple(hypernyms.get(offset, ())))
+            for offset, words in zip(data.offsets.tolist(), data.words)]
+
+
+def index_records(index):
+    """IndexColumns in the oracle's [(lemma, offsets)] shape."""
+    offsets = index.offsets.tolist()
+    ends = np.cumsum(index.counts).tolist()
+    return [(lemma, tuple(offsets[end - count:end])) for lemma, count, end
+            in zip(index.lemmas, index.counts.tolist(), ends)]
+
+
+# Magnitudes far apart and fractions without exact binary forms make a
+# float sum depend on the order of its terms.
+counts = st.one_of(st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1e16, 7e-3]))
+
+
+@CASES
+@given(taxonomy_inputs(), st.data())
+def test_taxonomy_and_ic_match_dict_oracle(inputs, data):
+    synsets, hypernyms, lemma_index = inputs
+    tax = Taxonomy.build("noun", synsets, hypernyms, lemma_index)
+    ref = oracles.DictTaxonomy(synsets, hypernyms, lemma_index)
+    assert_same_taxonomy(tax, ref)
+    assert tax.hypernym_edge_count == sum(len(ref.parents(o)) for o in ref.synsets)
+
+    lemma_counts = data.draw(st.dictionaries(
+        st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
+    synset_counts = data.draw(st.dictionaries(
+        st.sampled_from([0, 7, *synsets]), counts))
+    smoothing = data.draw(st.sampled_from([0.0, 1.0, 0.1, 2.5, 1e-17]))
+    cumulative, total, skipped = oracles.ic_counts(
+        ref, lemma_counts, synset_counts, smoothing)
+    if total <= 0.0:
+        return
+    ic = ic_from_counts(tax, lemma_counts, synset_counts, smoothing)
+    # Same additions in the same order: equal to the last bit.
+    assert ic.counts == cumulative
+    assert ic.total == total
+    assert ic.skipped == skipped
+
+
+def test_ic_counts_match_oracle_on_a_wide_dag():
+    # Thousands of additions per hub, in a fixed pseudo-random DAG.
+    rng = np.random.default_rng(5)
+    offsets = rng.choice(10**8, size=3000, replace=False) + 1
+    synsets = {int(o): [f"l{i % 1700}"] for i, o in enumerate(offsets)}
+    hypernyms = {int(o): [int(p) for p in rng.choice(offsets[:i], size=min(i, 1 + (i % 3 == 0)))]
+                 for i, o in enumerate(offsets) if i}
+    lemma_counts = {f"l{i}": float(v) for i, v in enumerate(rng.exponential(50, 1700))}
+    tax = Taxonomy.build("noun", synsets, hypernyms)
+    ref = oracles.DictTaxonomy(synsets, hypernyms)
+    cumulative, total, _ = oracles.ic_counts(ref, lemma_counts, smoothing=0.1)
+    ic = ic_from_counts(tax, lemma_counts, smoothing=0.1)
+    assert ic.counts == cumulative and ic.total == total
+
+
+@st.composite
+def faulty_inputs(draw):
+    """Valid taxonomy inputs with one to three injected faults."""
+    synsets, hypernyms, lemma_index = draw(taxonomy_inputs())
+    synsets = dict(synsets)
+    hypernyms = {k: list(v) for k, v in hypernyms.items()}
+    lemma_index = dict(lemma_index or {})
+    offsets = list(synsets)
+    for fault in draw(st.lists(st.sampled_from(
+            ["self", "missing", "empty", "reserved", "index_missing",
+             "index_empty_key", "index_none", "back_edge"]),
+            min_size=1, max_size=3)):
+        victim = draw(st.sampled_from(offsets))
+        if fault == "self":
+            hypernyms.setdefault(victim, []).append(victim)
+        elif fault == "missing":
+            hypernyms.setdefault(victim, []).append(draw(st.integers(1, 10**8)))
+        elif fault == "empty":
+            synsets[victim] = []
+        elif fault == "reserved":
+            synsets[0] = ["zero"]
+        elif fault == "index_missing":
+            lemma_index[draw(st.sampled_from(LEMMA_POOL + ["LEM1"]))] = [
+                victim, *draw(st.lists(st.integers(0, 10**8), min_size=1,
+                                       max_size=2))]
+        elif fault == "index_empty_key":
+            lemma_index[""] = [victim]
+        elif fault == "index_none":
+            lemma_index["Lem9"] = []
+        else:
+            parent = hypernyms.get(victim, [0])[0]
+            if parent not in (0, victim):
+                hypernyms.setdefault(parent, []).append(victim)
+    return synsets, hypernyms, lemma_index or None
+
+
+def on_cycle(hypernyms, offset):
+    """Whether ``offset`` reaches itself through hypernym edges."""
+    seen, stack = set(), list(hypernyms.get(offset, ()))
+    while stack:
+        node = stack.pop()
+        if node == offset:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(hypernyms.get(node, ()))
+    return False
+
+
+@CASES
+@given(faulty_inputs())
+# Several missing synsets under one key, and under keys that merge: the
+# smallest offset of the first key is reported.
+@example(({100: ["a"]}, {}, {"a": [100, 900, 800]}))
+@example(({100: ["a"]}, {}, {"b": [100, 700], "a": [100], "B": [600]}))
+def test_faults_raise_the_oracles_message(inputs):
+    got = outcome(Taxonomy.build, "noun", *inputs)
+    want = outcome(oracles.DictTaxonomy, *inputs)
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert_same_taxonomy(got[1], want[1])
+    elif "cycle" in want[1]:
+        # The DFS and the strong components may name different synsets of
+        # the cycle.
+        assert got[0] is TaxonomyStructureError
+        named = int(re.search(r"synset (\d{8})", got[1]).group(1))
+        assert "cycle" in got[1] and on_cycle(inputs[1], named)
+    else:
+        assert got == want
+
+
+@CASES
+@given(taxonomy_inputs(), st.data())
+def test_back_edge_is_reported_as_cycle(inputs, data):
+    synsets, hypernyms, lemma_index = inputs
+    hypernyms = {k: list(v) for k, v in hypernyms.items()}
+    # A synset on a path of real (non-root) hypernym edges.
+    chained = [o for o, ps in hypernyms.items() if any(p not in (0, o) for p in ps)]
+    assume(chained)
+    child = data.draw(st.sampled_from(sorted(chained)))
+    ancestor = data.draw(st.sampled_from(
+        sorted(p for p in hypernyms[child] if p != 0)))
+    hypernyms.setdefault(ancestor, []).append(child)
+    with pytest.raises(TaxonomyStructureError, match="cycle") as err:
+        Taxonomy.build("noun", synsets, hypernyms, lemma_index)
+    named = int(re.search(r"synset (\d{8})", str(err.value)).group(1))
+    assert on_cycle(hypernyms, named)
+    with pytest.raises(TaxonomyStructureError, match="cycle"):
+        oracles.DictTaxonomy(synsets, hypernyms, lemma_index)
+
+
+@CASES
+@given(synset_specs(), st.sampled_from(["noun", "verb", "adj"]))
+def test_rendered_databases_parse_like_the_oracle(specs, pos):
+    index_bytes, data_bytes = render_database(specs, pos)
+    assert data_records(parse_data(data_bytes, pos)) == \
+        oracles.parse_data_records(data_bytes, pos)
+    assert index_records(parse_index(index_bytes, pos)) == \
+        oracles.parse_index_records(index_bytes, pos)
+    assert_same_taxonomy(load_columns(index_bytes, data_bytes, pos),
+                         oracles.load_dict_taxonomy(index_bytes, data_bytes, pos))
+
+
+TOKENS = ["0", "00", "000", "001", "002", "01", "02", "03", "00000000", "0000000x",
+          "0000011", "000000011",
+          "0000001²", "0000000١", "١", "00²", "ff", "1_0",
+          "-1", "+1", "@", "@i", "~", "n", "v", "a", "s", "r", "x", "N", "w",
+          "W(p)", "|", "0000"]
+
+
+# Valid lines with every field kind: two words, one with an adjective
+# marker, "@", "~" and "@i" pointers, verb frames, pointer symbols in an
+# index line.
+LINES = [
+    ("noun", "data", "00000011 03 n 02 w 0 Big(a) 1 003 @ 00000300 n 0000 "
+                     "~ 00000400 v 0102 @i 00000100 n 0000 | g  "),
+    ("verb", "data", "00000011 03 v 01 w 0 001 @ 00000300 v 0000 "
+                     "02 + 01 00 + 02 01 | g  "),
+    ("adj", "data", "00000011 03 s 01 w(p) 0 000 | g  "),
+    ("noun", "index", "dog n 2 2 @ ~ 2 0 00000300 00000011  "),
+]
+
+
+def test_first_duplicate_offset_in_file_order_is_reported():
+    lines = [f"{offset:08d} 03 n 01 w{offset} 0 000 | g  "
+             for offset in (200, 100, 300, 100, 200)]
+    data = "\n".join(lines).encode()
+    index = b"w100 n 1 0 1 0 00000100  \n"
+    want = outcome(oracles.load_dict_taxonomy, index, data, "noun")
+    assert want == (TaxonomyStructureError, "duplicate synset offset 00000100")
+    assert outcome(load_columns, index, data, "noun") == want
+
+
+@pytest.mark.parametrize("pos,which,line", LINES)
+def test_every_single_token_mutation_fails_like_the_oracle(pos, which, line):
+    parse = {"data": (lambda b, p: data_records(parse_data(b, p)),
+                      oracles.parse_data_records),
+             "index": (lambda b, p: index_records(parse_index(b, p)),
+                       oracles.parse_index_records)}[which]
+    head, sep, tail = line.partition(" | ")
+    tokens = head.split()
+    pool = sorted(set(TOKENS + tokens))
+    variants = [tokens[:i] + tokens[i + 1:] for i in range(len(tokens))]
+    variants += [tokens[:i] + [tok] + tokens[i + 1:]
+                 for i in range(len(tokens)) for tok in pool]
+    variants += [tokens + [tok] for tok in pool]
+    for variant in variants:
+        payload = (" ".join(variant) + sep + tail + "\n").encode()
+        assert outcome(parse[0], payload, pos) == \
+            outcome(parse[1], payload, pos), payload
+
+
+@CASES
+@given(synset_specs(), st.sampled_from(["noun", "verb"]),
+       st.sampled_from(["index", "data"]), st.data())
+def test_single_token_mutations_fail_like_the_oracle(specs, pos, which, data):
+    files = dict(zip(("index", "data"), render_database(specs, pos)))
+    lines = files[which].split(b"\n")
+    row = data.draw(st.sampled_from(
+        [i for i, line in enumerate(lines) if line and not line.startswith(b" ")]))
+    head, sep, tail = lines[row].decode().partition(" | ")
+    tokens = head.split()
+    real = [tok for line in lines for tok in line.decode().split()]
+    edit = data.draw(st.sampled_from(["drop", "replace", "append", "cut"]))
+    spot = data.draw(st.integers(0, len(tokens) - 1))
+    token = data.draw(st.sampled_from(TOKENS + real))
+    if edit == "drop":
+        del tokens[spot]
+    elif edit == "cut":
+        del tokens[spot:]
+    elif edit == "replace":
+        tokens[spot] = token
+    else:
+        tokens.append(token)
+    lines[row] = (" ".join(tokens) + sep + tail).encode()
+    files[which] = b"\n".join(lines)
+    got = outcome(load_columns, files["index"], files["data"], pos)
+    want = outcome(oracles.load_dict_taxonomy, files["index"], files["data"], pos)
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert_same_taxonomy(got[1], want[1])
+    elif got[0] is TaxonomyStructureError and "cycle" in got[1]:
+        assert "cycle" in want[1]
+    else:
+        assert got == want

@@ -25,42 +25,49 @@ def test_committed_fixture_matches_writer_output():
 
 def test_data_offsets_are_byte_positions():
     _, data_bytes = render_database(T1_SPECS, "noun")
-    for record in parse_data(data_bytes, "noun"):
-        line = data_bytes[record.offset:].split(b"\n", 1)[0]
-        assert line.startswith(f"{record.offset:08d}".encode())
+    for offset in parse_data(data_bytes, "noun").offsets.tolist():
+        line = data_bytes[offset:].split(b"\n", 1)[0]
+        assert line.startswith(f"{offset:08d}".encode())
 
 
 def test_parse_round_trip_structure():
     index_bytes, data_bytes = render_database(T1_SPECS, "noun")
-    data = {r.offset: r for r in parse_data(data_bytes, "noun")}
-    index = {r.lemma: r for r in parse_index(index_bytes, "noun")}
-    assert len(data) == len(T1_SPECS)
+    data = parse_data(data_bytes, "noun")
+    columns = parse_index(index_bytes, "noun")
+    index = dict(zip(columns.lemmas, columns.offsets.tolist()))
+    assert columns.counts.tolist() == [1] * len(T1_SPECS)
+    assert len(data.offsets) == len(T1_SPECS)
     assert set(index) == {"entity", "animal", "artifact", "dog", "cat", "car"}
-    dog = data[index["dog"].offsets[0]]
-    assert dog.words == ("dog",)
-    assert dog.hypernyms == (index["animal"].offsets[0],)
+    dog = data.offsets.tolist().index(index["dog"])
+    assert data.words[dog] == ("dog",)
+    assert list(zip(data.hypernym_child.tolist(), data.hypernym_parent.tolist())) \
+        == [(index[child], index[parent]) for child, parent in (
+            ("animal", "entity"), ("artifact", "entity"), ("dog", "animal"),
+            ("cat", "animal"), ("car", "artifact"))]
 
 
 def test_data_record_keeps_only_hypernym_targets_in_file_order():
     line = (b"00000011 03 n 01 w 0 004 @ 00000300 n 0000 ~ 00000400 n 0000 "
             b"@i 00000100 n 0000 @ 00000200 n 0000 | g  \n")
-    (record,) = parse_data(line, "noun")
-    assert record.offset == 11
-    assert record.words == ("w",)
-    assert record.hypernyms == (300, 100, 200)
+    data = parse_data(line, "noun")
+    assert data.offsets.tolist() == [11]
+    assert data.words == [("w",)]
+    assert data.hypernym_child.tolist() == [11, 11, 11]
+    assert data.hypernym_parent.tolist() == [300, 100, 200]
 
 
 def test_header_lines_skipped():
     _, data_bytes = render_database(T1_SPECS, "noun")
     assert data_bytes.startswith(b"  ")
-    assert parse_data(b"  1 license text\n  2 more\n", "noun") == []
+    data = parse_data(b"  1 license text\n  2 more\n", "noun")
+    assert len(data.offsets) == len(data.hypernym_child) == 0
+    assert data.words == []
 
 
 def test_adjective_sense_markers_stripped():
     specs = [SynsetSpec("only", ("galore(ip)",))]
     index_bytes, data_bytes = render_database(specs, "adj")
-    records = parse_data(data_bytes, "adj")
-    assert records[0].words == ("galore",)
+    assert parse_data(data_bytes, "adj").words == [("galore",)]
 
 
 def test_data_parse_errors_carry_byte_offset():
@@ -80,11 +87,26 @@ def test_data_parse_errors_carry_byte_offset():
     (b"00000011 03 n 01 w 0 002 @ 00000001 n 0000 | g  \n", "truncated"),
     (b"00000011 03 n 01 w 0 000 stray | g  \n", "trailing"),
     (b"00000011 03 n 01 w 0 001 @ 00000001 x 0000 | g  \n", "pointer pos"),
+    # Digits outside ASCII pass str.isdigit or int(), not the WNdb layout.
+    ("0000001\u00b2 03 n 01 w 0 000 | g  \n".encode(), "synset offset"),
+    ("00000011 03 n \u0661 w 0 000 | g  \n".encode(), "word count"),
+    (b"00000011 03 n 1_0 w 0 000 | g  \n", "word count"),
+    ("00000011 03 n 01 w 0 00\u00b2 | g  \n".encode(), "pointer count"),
+    ("00000011 03 n 01 w 0 001 @ 0000000\u0661 n 0000 | g  \n".encode(),
+     "pointer offset"),
 ])
 def test_data_parse_rejects_malformed_records(line, fragment):
     with pytest.raises(WndbFormatError) as err:
         parse_data(line, "noun")
     assert fragment in str(err.value)
+    assert str(err.value).startswith("byte 0: ")
+
+
+@pytest.mark.parametrize("frames", ["\u00b2", "\u0661", "-1"])
+def test_verb_frame_count_must_be_ascii_digits(frames):
+    line = f"00000011 03 v 01 w 0 000 {frames} | g  \n".encode()
+    with pytest.raises(WndbFormatError, match="bad frame count"):
+        parse_data(line, "verb")
 
 
 def test_index_parse_rejects_wrong_pos():
@@ -95,6 +117,21 @@ def test_index_parse_rejects_wrong_pos():
 def test_index_parse_rejects_truncated_line():
     with pytest.raises(WndbFormatError):
         parse_index(b"dog n 2 0 2 0 00000011  \n", "noun")
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("dog n \u0661 0 1 0 00000011  \n", "bad synset or pointer count"),
+    ("dog n 1 \u00b2 1 0 00000011  \n", "bad synset or pointer count"),
+    ("dog n 1_0 0 1 0 00000011  \n", "bad synset or pointer count"),
+    ("dog n +1 0 1 0 00000011  \n", "bad synset or pointer count"),
+    ("dog n 1 0 1 0 0000001\u00b2  \n", "bad index offset"),
+    ("dog n 2 0 2 0 00000011 0000011  \n", "bad index offset"),
+])
+def test_index_parse_rejects_malformed_counts_and_offsets(line, fragment):
+    with pytest.raises(WndbFormatError) as err:
+        parse_index(line.encode(), "noun")
+    assert fragment in str(err.value)
+    assert str(err.value).startswith("byte 0: ")
 
 
 # -- taxonomy structure --------------------------------------------------
@@ -129,6 +166,14 @@ def test_match_lemma_case_and_hyphen(t1):
     assert tax.match_lemma("ice_cream") == "ice_cream"
     assert tax.match_lemma("sorbet") is None
     assert t1.match_lemma("DOG") == "dog"
+
+
+def test_case_colliding_lemma_keys_merge():
+    synsets = {1: ["a"], 2: ["b"]}
+    given = Taxonomy.build("noun", synsets, {}, {"Dog": [1], "dog": [2]})
+    assert given.synsets_of("dog") == (1, 2)
+    derived = Taxonomy.build("noun", {1: ["Dog"], 2: ["dog"]}, {})
+    assert derived.synsets_of("DOG") == (1, 2)
 
 
 def test_build_rejects_cycles():
@@ -333,6 +378,9 @@ def test_load_ic_accumulates_repeated_keys(t1):
     (b"#ic-counts:lemma\ndog\tmany\n", "bad count"),
     (b"#ic-counts:lemma\n#ic-counts:lemma\n", "duplicate"),
     (b"#ic-counts:offset\tdog\t1\n", "mode"),
+    (b"#ic-counts:lemma\ndog\tnan\n", "line 2: count 'nan' is not finite"),
+    (b"#ic-counts:lemma\ncat\t1\ndog\tinf\n", "line 3: count 'inf' is not finite"),
+    (b"#ic-counts:offset\n11\t-Infinity\n", "line 2: count '-Infinity' is not finite"),
 ])
 def test_load_ic_rejects_malformed_input(t1, payload, fragment):
     with pytest.raises(IcCountsError) as err:
