@@ -23,7 +23,8 @@ from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, RankParams,
 from .tsvio import atomic_write_text, fmt6
 from .wndb import WndbFormatError
 from .wordnet import (IcCountsError, TaxonomyStructureError,
-                      UnknownLemmaError, load_ic, load_wordnet_dir)
+                      UnknownLemmaError, ic_from_parsed, load_wordnet_dir,
+                      parse_ic_counts)
 
 WORDNET_ENV = "FOLKREL_WORDNET_DIR"
 
@@ -143,10 +144,10 @@ def cmd_ground(args: argparse.Namespace, cfg: RunConfig) -> int:
     taxonomies = load_wordnet_dir(cfg.wordnet_dir)
     ic_tables = {}
     if cfg.ic_file is not None:
-        for pos in METRIC_POS:
-            if pos in taxonomies:
-                with open(cfg.ic_file, "rb") as handle:
-                    ic_tables[pos] = load_ic(handle, taxonomies[pos])
+        with open(cfg.ic_file, "rb") as handle:
+            counts = parse_ic_counts(handle)
+        ic_tables = {pos: ic_from_parsed(taxonomies[pos], counts)
+                     for pos in METRIC_POS if pos in taxonomies}
     evaluator = GroundingEvaluator(
         f, taxonomies, ic_tables=ic_tables, k=cfg.k,
         rank_params=RankParams(cfg.damping, cfg.beta, cfg.tol, cfg.max_iter),

@@ -172,7 +172,7 @@ class Taxonomy:
                    _closure(child, parent, depth))
 
     def _dense(self, offsets) -> np.ndarray:
-        return np.searchsorted(self._ids, offsets)
+        return self._ids.searchsorted(offsets)
 
     @property
     def num_synsets(self) -> int:
@@ -218,8 +218,9 @@ class Taxonomy:
         if offset != ROOT and offset not in self.synsets:
             raise KeyError(offset)
         indptr, anc = self._closure
-        d = int(self._dense(offset))
-        return frozenset(self._ids[anc[indptr[d]:indptr[d + 1]]].tolist())
+        d = self._dense(offset)
+        lo, hi = indptr[d:d + 2].tolist()
+        return frozenset(self._ids[anc[lo:hi]].tolist())
 
 
 def _runs(groups: np.ndarray, values: np.ndarray) -> tuple[list, list[tuple]]:
@@ -394,38 +395,82 @@ class TaxPath:
         return "-".join(self.composition)
 
 
-def _layered_search(tax: Taxonomy, sources: set[int], targets: set[int]):
-    """Breadth-first search returning the best (composition, nodes) label.
+def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
+    """The smallest (composition, nodes) label of a shortest path from
+    ``sources`` to ``targets``, two disjoint sets of synsets.
 
     Labels compare as tuples, so among equal-length paths the winner takes
     up edges as early as possible (up sorts before down), then the
-    lexicographically smallest synset offsets.
+    lexicographically smallest synset offsets.  A bidirectional BFS finds
+    the length D and the layer where the two searches meet; its layers,
+    cut back from there, give the shortest-path DAG, the nodes on some
+    shortest path.  A greedy walk through that DAG finds the smallest
+    label.
     """
-    frontier: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-        s: ((), (s,)) for s in sorted(sources)
-    }
-    visited = set(frontier)
-    while frontier:
-        reached: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for node, (comp, nodes) in frontier.items():
-            for direction, neighbors in (
-                (UP, tax.parents(node)),
-                (DOWN, tax.children(node)),
-            ):
-                extended_comp = comp + (direction,)
-                for neighbor in neighbors:
-                    if neighbor in visited:
-                        continue
-                    label = (extended_comp, nodes + (neighbor,))
-                    known = reached.get(neighbor)
-                    if known is None or label < known:
-                        reached[neighbor] = label
-        hits = [reached[t] for t in targets if t in reached]
-        if hits:
-            return min(hits)
-        visited.update(reached)
-        frontier = reached
-    raise TaxonomyStructureError("synsets are not connected through the root")
+    step = (tax._parents, tax._children)  # indexed by UP and DOWN
+
+    def neighbors(nodes):
+        found = set()
+        for v in nodes:
+            found.update(step[UP].get(v, ()))
+            found.update(step[DOWN].get(v, ()))
+        return found
+
+    def edges(nodes):
+        return sum(len(step[UP].get(v, ())) + len(step[DOWN].get(v, ()))
+                   for v in nodes)
+
+    # Grow the side whose frontier has fewer incident edges, one layer at
+    # a time.  Until they meet, the sides' visited sets are disjoint, so
+    # the first layer that meets the other side is the DAG layer there.
+    layers = ([set(sources)], [set(targets)])
+    seen = (set(sources), set(targets))
+    cost = [edges(sources), edges(targets)]
+    while True:
+        side = 0 if cost[0] <= cost[1] else 1
+        layer = neighbors(layers[side][-1]) - seen[side]
+        if not layer:
+            raise TaxonomyStructureError("synsets are not connected through the root")
+        layers[side].append(layer)
+        meet = layer & seen[1 - side]
+        if meet:
+            break
+        seen[side].update(layer)
+        cost[side] = edges(layer)
+
+    # Layer i of the shortest-path DAG holds the nodes i edges from the
+    # sources and D - i from the targets.  Before the meeting layer it is
+    # the forward layer cut to the nodes with an edge into layer i + 1.
+    # After it, the backward layer serves as it is: the walk below enters
+    # it only from the DAG, and any node it enters so is in the DAG.
+    forward, backward = layers
+    dag = [meet]
+    for layer in reversed(forward[:-1]):
+        dag.append(layer & neighbors(dag[-1]))
+    dag = dag[::-1] + list(reversed(backward[:-1]))
+    length = len(dag) - 1
+
+    # Step up whenever some node reached so far has an up edge into the
+    # next layer.  Each reached node is in the DAG, so it has an edge into
+    # the next layer and can still finish the path.
+    comp, reached = [], [dag[0]]
+    for i in range(length):
+        for direction in (UP, DOWN):
+            nxt = {w for v in reached[i] for w in step[direction].get(v, ())
+                   if w in dag[i + 1]}
+            if nxt:
+                break
+        comp.append(direction)
+        reached.append(nxt)
+    # Keep the reached nodes that can finish this composition, then take
+    # the smallest offset at each step.
+    for i in range(length - 1, -1, -1):
+        reached[i] = {v for v in reached[i]
+                      if not reached[i + 1].isdisjoint(step[comp[i]].get(v, ()))}
+    nodes = [min(reached[0])]
+    for i in range(length):
+        nodes.append(min(reached[i + 1].intersection(step[comp[i]].get(nodes[-1], ()))))
+    return tuple(comp), tuple(nodes)
 
 
 def shortest_path(tax: Taxonomy, lemma1: str, lemma2: str) -> TaxPath:
@@ -443,7 +488,7 @@ def shortest_path(tax: Taxonomy, lemma1: str, lemma2: str) -> TaxPath:
     if shared:
         synset = min(shared)
         return TaxPath(synset, synset, 0, ())
-    comp, nodes = _layered_search(tax, sources, targets)
+    comp, nodes = _smallest_label(tax, sources, targets)
     if swapped:
         comp = tuple(1 - step for step in reversed(comp))
         nodes = tuple(reversed(nodes))
@@ -583,7 +628,14 @@ def parse_ic_counts(stream: IO[bytes] | Iterable[bytes]) -> tuple[str, list[tupl
 def load_ic(stream: IO[bytes] | Iterable[bytes], tax: Taxonomy,
             smoothing: float = 1.0) -> ICTable:
     """Parse a counts file and build the `ICTable` for one taxonomy."""
-    mode, entries = parse_ic_counts(stream)
+    return ic_from_parsed(tax, parse_ic_counts(stream), smoothing)
+
+
+def ic_from_parsed(tax: Taxonomy, parsed: tuple[str, list[tuple[str, float]]],
+                   smoothing: float = 1.0) -> ICTable:
+    """Build the `ICTable` for one taxonomy from `parse_ic_counts` output;
+    repeated keys add up."""
+    mode, entries = parsed
     if mode == "lemma":
         lemma_counts: dict[str, float] = {}
         for key, count in entries:
@@ -608,18 +660,19 @@ def jiang_conrath(tax: Taxonomy, ic: ICTable, lemma1: str, lemma2: str) -> float
     """
     offs1 = tax.synsets_of(lemma1)
     offs2 = tax.synsets_of(lemma2)
+    if not set(offs1).isdisjoint(offs2):
+        return 0.0
+    # Each synset's subsumer set is built once per call.
+    second = [(ic.ic(s2), tax.subsumers(s2)) for s2 in offs2
+              if not math.isinf(ic.ic(s2))]
     best = math.inf
     for s1 in offs1:
         ic1 = ic.ic(s1)
+        if math.isinf(ic1):
+            continue
         sub1 = tax.subsumers(s1)
-        for s2 in offs2:
-            if s1 == s2:
-                return 0.0
-            ic2 = ic.ic(s2)
-            if math.isinf(ic1) or math.isinf(ic2):
-                continue
-            common = sub1 & tax.subsumers(s2)
-            lcs_ic = max(ic.ic(c) for c in common)
+        for ic2, sub2 in second:
+            lcs_ic = max(map(ic.ic, sub1 & sub2))
             distance = ic1 + ic2 - 2.0 * lcs_ic
             if distance < best:
                 best = max(distance, 0.0)

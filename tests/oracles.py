@@ -14,7 +14,7 @@ from string import hexdigits
 import numpy as np
 
 from folkrel.wndb import HYPERNYM_SYMBOLS, POS_CHARS, SS_TYPES, WndbFormatError
-from folkrel.wordnet import ROOT, TaxonomyStructureError
+from folkrel.wordnet import DOWN, ROOT, UP, TaxonomyStructureError, TaxPath
 
 
 def node_order(f):
@@ -128,6 +128,58 @@ def taxonomy_distance(tax, lemma1, lemma2):
             if target in dist:
                 best = min(best, dist[target])
     return best
+
+
+def layered_search(tax, sources: set[int], targets: set[int]):
+    """Breadth-first search returning the best (composition, nodes) label.
+
+    Labels compare as tuples, so among equal-length paths the winner takes
+    up edges as early as possible (up sorts before down), then the
+    lexicographically smallest synset offsets.
+    """
+    frontier: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+        s: ((), (s,)) for s in sorted(sources)
+    }
+    visited = set(frontier)
+    while frontier:
+        reached: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for node, (comp, nodes) in frontier.items():
+            for direction, neighbors in (
+                (UP, tax.parents(node)),
+                (DOWN, tax.children(node)),
+            ):
+                extended_comp = comp + (direction,)
+                for neighbor in neighbors:
+                    if neighbor in visited:
+                        continue
+                    label = (extended_comp, nodes + (neighbor,))
+                    known = reached.get(neighbor)
+                    if known is None or label < known:
+                        reached[neighbor] = label
+        hits = [reached[t] for t in targets if t in reached]
+        if hits:
+            return min(hits)
+        visited.update(reached)
+        frontier = reached
+    raise TaxonomyStructureError("synsets are not connected through the root")
+
+
+def shortest_path(tax, lemma1, lemma2):
+    """`wordnet.shortest_path` with `layered_search` as its search."""
+    offs1 = tax.synsets_of(lemma1)
+    offs2 = tax.synsets_of(lemma2)
+    swapped = lemma1.lower() > lemma2.lower()
+    sources, targets = (set(offs2), set(offs1)) if swapped else (set(offs1), set(offs2))
+    shared = sources & targets
+    if shared:
+        synset = min(shared)
+        return TaxPath(synset, synset, 0, ())
+    comp, nodes = layered_search(tax, sources, targets)
+    if swapped:
+        comp = tuple(1 - step for step in reversed(comp))
+        nodes = tuple(reversed(nodes))
+    names = tuple("up" if step == UP else "down" for step in comp)
+    return TaxPath(nodes[0], nodes[-1], len(names), names)
 
 
 class DictCoGraph:

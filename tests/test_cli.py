@@ -5,8 +5,13 @@ import math
 
 import pytest
 
+from folkrel import cli
 from folkrel.cli import WORDNET_ENV, main
-from folkrel.grounding import REPORT_FILES
+from folkrel.core import load_posts
+from folkrel.grounding import (METRIC_POS, REPORT_FILES, GroundingEvaluator,
+                               write_report_files)
+from folkrel.wndb import SynsetSpec, write_database
+from folkrel.wordnet import load_ic, load_wordnet_dir, parse_ic_counts
 
 from conftest import F1_TEXT, FIXTURE_DIR
 
@@ -263,6 +268,48 @@ def test_ground_with_ic_counts_file(ground_posts, tmp_path, capsys):
     car_dog = math.log(10 / 3) + math.log(10 / 2)
     assert payload["measures"]["freq"]["jcn_mean"] == pytest.approx(
         (dog_cat + car_dog) / 2, abs=1e-9)
+
+
+def test_ground_parses_the_ic_file_once(ground_posts, tmp_path, capsys,
+                                        monkeypatch):
+    wordnet = tmp_path / "wordnet"
+    wordnet.mkdir()
+    for source in WNDB_DIR.iterdir():
+        (wordnet / source.name).write_bytes(source.read_bytes())
+    write_database([SynsetSpec("move", ("move",)),
+                    SynsetSpec("tail", ("dog", "tail"), ("move",)),
+                    SynsetSpec("whip", ("cat", "whip"), ("move",)),
+                    SynsetSpec("drive", ("car", "drive"), ("move",))],
+                   "verb", wordnet)
+    ic_path = tmp_path / "counts.tsv"
+    ic_path.write_bytes(b"#ic-counts:lemma\ndog\t1\ncat\t3\ncar\t2\nmove\t4\n")
+    calls = []
+
+    def counting_parse(stream):
+        calls.append(stream)
+        return parse_ic_counts(stream)
+
+    monkeypatch.setattr(cli, "parse_ic_counts", counting_parse)
+    out = tmp_path / "report"
+    code, _, _ = run(capsys, "ground", "--posts", str(ground_posts),
+                     "--wordnet-dir", str(wordnet),
+                     "--ic-file", str(ic_path), "--out", str(out))
+    assert code == 0
+    assert len(calls) == 1
+
+    # The reports of one file load per part of speech.
+    taxonomies = load_wordnet_dir(wordnet)
+    assert sorted(taxonomies) == sorted(METRIC_POS)
+    ic_tables = {}
+    for pos in METRIC_POS:
+        with open(ic_path, "rb") as handle:
+            ic_tables[pos] = load_ic(handle, taxonomies[pos])
+    evaluator = GroundingEvaluator(load_posts(ground_posts), taxonomies,
+                                   ic_tables=ic_tables)
+    expected = tmp_path / "expected"
+    write_report_files(evaluator.report(), expected)
+    for name in REPORT_FILES:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_ground_malformed_ic_file_exits_1(ground_posts, tmp_path, capsys):

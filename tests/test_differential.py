@@ -1,10 +1,11 @@
 """Differential tests: the CSR co-occurrence graph, the numpy FolkRank
-selection and the array-built WNdb taxonomy against the references in
-``oracles``.
+selection, the array-built WNdb taxonomy and the bidirectional path search
+against the references in ``oracles``.
 
 Agreement is exact: the same tags with the same float scores in the same
 order, ties included; the same taxonomy, IC counts to the last bit, and
-the same error message for the same malformed input.
+the same error message for the same malformed input; the same shortest
+path, composition and end synsets.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
 from folkrel.folkrank import build_folkgraph, folkrank_relatedness, rank
 from folkrel.wndb import WndbFormatError, parse_data, parse_index, render_database
-from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError,
-                             ic_from_counts)
+from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
+                             _smallest_label, ic_from_counts, shortest_path)
 
 import oracles
 from strategies import (LEMMA_POOL, UNICODE_TAG_POOL, duplicate, posts_lists,
@@ -370,3 +371,116 @@ def test_single_token_mutations_fail_like_the_oracle(specs, pos, which, data):
         assert "cycle" in want[1]
     else:
         assert got == want
+
+
+# -- shortest taxonomy paths against the one-sided labelled BFS ----------
+
+def assert_same_paths(tax, pairs):
+    """Same TaxPath as the oracle in both argument orders and, for
+    disjoint synset sets, the same (composition, nodes) label from either
+    end."""
+    for a, b in pairs:
+        assert shortest_path(tax, a, b) == oracles.shortest_path(tax, a, b), (a, b)
+        assert shortest_path(tax, b, a) == oracles.shortest_path(tax, b, a), (b, a)
+        one, other = set(tax.synsets_of(a)), set(tax.synsets_of(b))
+        if one.isdisjoint(other):
+            assert _smallest_label(tax, one, other) == \
+                oracles.layered_search(tax, one, other), (a, b)
+
+
+@CASES
+@given(taxonomy_inputs())
+def test_shortest_path_matches_layered_search(inputs):
+    tax = Taxonomy.build("noun", *inputs)
+    lemmas = sorted(tax.lemmas)
+    assert_same_paths(tax, [(a, b) for i, a in enumerate(lemmas)
+                            for b in lemmas[i:]])
+
+
+def reversed_path(path):
+    flip = {"up": "down", "down": "up"}
+    return TaxPath(path.target, path.source, path.length,
+                   tuple(flip[step] for step in reversed(path.composition)))
+
+
+def test_shortest_path_matches_layered_search_on_a_large_dag():
+    # 20,000 synsets, each under a random earlier one and 2% under a
+    # second; 16,500 lemma names give some lemmas several senses.
+    rng = np.random.default_rng(20)
+    n = 20_000
+    offsets = (np.arange(1, n + 1) * 7919 % 99_999_989 + 1).tolist()
+    first = rng.integers(0, np.maximum(np.arange(n), 1)).tolist()
+    names = rng.integers(0, 16_500, n).tolist()
+    synsets = {o: [f"l{names[i]}"] for i, o in enumerate(offsets)}
+    hypernyms = {}
+    for i in range(1, n):
+        parents = [offsets[first[i]]]
+        if rng.random() < 0.02:
+            parents.append(offsets[int(rng.integers(0, i))])
+        hypernyms[offsets[i]] = parents
+    tax = Taxonomy.build("noun", synsets, hypernyms)
+    lemmas = sorted(tax.lemmas)
+    for i, j in rng.choice(len(lemmas), size=(200, 2)).tolist():
+        a, b = lemmas[i], lemmas[j]
+        # The oracle searches from the same lemma in either order, so its
+        # answer for (b, a) is the reversal of its answer for (a, b).
+        want = oracles.shortest_path(tax, a, b)
+        assert shortest_path(tax, a, b) == want
+        assert shortest_path(tax, b, a) == reversed_path(want)
+
+
+def with_leaves(named, hypernyms, leaves):
+    """Taxonomy of the ``named`` synsets plus leaf synsets under some of
+    them.  The leaves add edges at the source end, so the search from the
+    target end runs further and the two meet early on the path."""
+    synsets = {offset: [lemma] for offset, lemma in named.items()}
+    hypernyms = dict(hypernyms)
+    for parent, offsets in leaves.items():
+        for offset in offsets:
+            synsets[offset] = [f"leaf{offset}"]
+            hypernyms[offset] = [parent]
+    return Taxonomy.build("noun", synsets, hypernyms)
+
+
+# Ties decided after the point where the two searches meet.  "a" is synset
+# 10 and "b" the targets; "n<offset>" name the other synsets.
+TIES_AFTER_MEETING = {
+    # The searches meet at synsets 300 and 400.  Through the smaller, 300,
+    # the path goes up-up-down-down; through 400 it goes up-up-up-down,
+    # and that wins.
+    "two meeting nodes": (
+        with_leaves({10: "a", 100: "n100", 200: "n200", 300: "n300",
+                     400: "n400", 500: "n500", 600: "n600", 20: "b"},
+                    {10: [100, 200], 100: [300], 200: [400], 400: [600],
+                     500: [300], 20: [500, 600]},
+                    {10: [11, 12, 13]}),
+        ((0, 0, 0, 1), (10, 200, 400, 600, 20))),
+    # The searches meet at 100.  Below 200 the paths split through 300 and
+    # 900 into the two senses of "b"; the smaller sense, 700, lies only
+    # under 900, so the path ends at 800.  Synset 250 is a dead end.
+    "diamond below the meeting layer": (
+        with_leaves({10: "a", 100: "n100", 200: "n200", 250: "n250",
+                     300: "n300", 900: "n900", 700: "b", 800: "b"},
+                    {10: [100], 100: [200], 250: [200], 300: [200],
+                     900: [200], 800: [300], 700: [900]},
+                    {10: [11, 12, 13], 100: [101, 102, 103, 104, 105]}),
+        ((0, 0, 1, 1), (10, 100, 200, 300, 800))),
+    # The searches meet at 100.  From 200, down through 300 and up to 700
+    # ties in length with up through 900 and down to 800; up comes first.
+    "up-versus-down tie after the meeting layer": (
+        with_leaves({10: "a", 100: "n100", 200: "n200", 900: "n900",
+                     300: "n300", 700: "b", 800: "b"},
+                    {10: [100], 100: [200], 200: [900], 800: [900],
+                     300: [200, 700]},
+                    {10: [11, 12, 13], 100: [101, 102, 103, 104, 105]}),
+        ((0, 0, 0, 1), (10, 100, 200, 900, 800))),
+}
+
+
+@pytest.mark.parametrize("name", list(TIES_AFTER_MEETING))
+def test_ties_after_the_meeting_layer(name):
+    tax, label = TIES_AFTER_MEETING[name]
+    sources, targets = set(tax.synsets_of("a")), set(tax.synsets_of("b"))
+    assert oracles.layered_search(tax, sources, targets) == label
+    assert _smallest_label(tax, sources, targets) == label
+    assert_same_paths(tax, [("a", "b")])
