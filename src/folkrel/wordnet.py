@@ -3,15 +3,19 @@
 Each part of speech yields one `Taxonomy`, a rooted DAG of synsets under
 hypernym edges.  Synsets without hypernyms are attached to a synthetic
 root at offset 0 so the graph is always connected and cross-branch paths
-exist.  On top of the taxonomy sit two semantic distances between lemmas:
+exist.  The graph is held once, as numpy arrays over dense synset ids:
+CSR parent and child adjacency and a CSR ancestor closure.  Synset
+offsets appear only at the public boundary.  On top of the taxonomy sit
+two semantic distances between lemmas:
 
 - `shortest_path`: fewest taxonomy edges, traversable both up (toward
   hypernyms) and down, with the edge-direction composition of the path.
 - `jiang_conrath`: information-content distance ic(s1) + ic(s2) -
   2*ic(lcs), minimized over the synset pairs of the two lemmas.
 
-Information content comes from corpus counts (`ICTable`); counts assigned
-to a synset also count toward every ancestor, and ic = -ln(count / total).
+Information content (`ICTable`, over the same dense ids) comes from corpus
+counts; counts assigned to a synset also count toward every ancestor, and
+ic = -ln(count / total).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .wndb import POS_CHARS, DataColumns, IndexColumns, read_database
+from .wndb import POS_CHARS, DataColumns, IndexColumns, _digits, read_database
 
 ROOT = 0  # synthetic root synset offset, one per taxonomy
 
@@ -49,24 +53,23 @@ class IcCountsError(ValueError):
 class Taxonomy:
     """Rooted hypernym DAG for one part of speech.
 
-    ``synsets`` maps each synset offset to its lemma tuple.  Internally a
-    synset also has a dense id, its rank in offset order; the root is id 0.
-    `subsumers` and the IC counts read the ancestor closure over dense ids.
+    ``synsets`` maps each synset offset to its lemma tuple.  The graph is
+    held over dense ids, a synset's rank in offset order (the root is id 0),
+    as CSR pairs ``(indptr, indices)`` whose row d lists, ascending, the
+    parents, children or subsumers of d.  Methods take and return offsets;
+    one that is neither a synset nor `ROOT` raises `KeyError`.
     """
 
-    __slots__ = ("pos", "synsets", "_parents", "_children", "_lemma_index",
-                 "_ids", "_closure")
+    __slots__ = ("pos", "synsets", "_lemma_index", "_ids", "_up", "_down",
+                 "_closure")
 
-    def __init__(self, pos, synsets, parents, children, lemma_index, ids,
-                 closure):
+    def __init__(self, pos, synsets, lemma_index, ids, up, down, closure):
         self.pos = pos
         self.synsets = synsets
-        self._parents = parents
-        self._children = children
         self._lemma_index = lemma_index
         self._ids = ids  # offset of each dense id, ascending, ROOT first
-        # CSR (indptr, ancestor ids): row d holds d's subsumers, ascending.
-        self._closure = closure
+        self._up, self._down = up, down  # parents, children
+        self._closure = closure  # subsumers, the id itself and the root included
 
     @classmethod
     def build(
@@ -155,24 +158,23 @@ class Taxonomy:
         orphans[ROOT] = False
         keys = _sorted_unique(np.r_[child * n + parent, np.flatnonzero(orphans) * n])
         child, parent = keys // n, keys % n
+        by_parent = np.argsort(parent, kind="stable")
+        rows = np.arange(n + 1)
+        up = (np.searchsorted(child, rows), parent)
+        down = (np.searchsorted(parent[by_parent], rows), child[by_parent])
 
         lemma_index = _lemma_index(ids, words, index)
-        by_parent = np.argsort(parent, kind="stable")
-        depth = _depths(n, child[by_parent], parent[by_parent])
-        if depth.min() < 0:
-            _raise_cycle(ids, child, parent, depth < 0)
-
-        kids, parent_tuples = _runs(child, ids[parent])
-        parents = dict(zip(ids[kids].tolist(), parent_tuples))
-        heads, child_tuples = _runs(parent[by_parent], ids[child[by_parent]])
-        children = {ROOT: ()}
-        children.update(zip(ids[heads].tolist(), child_tuples))
-        synsets = dict(zip(offs.tolist(), words))
-        return cls(pos, synsets, parents, children, lemma_index, ids,
-                   _closure(child, parent, depth))
+        return cls(pos, dict(zip(offs.tolist(), words)), lemma_index, ids,
+                   up, down, _closure(ids, up, down))
 
     def _dense(self, offsets) -> np.ndarray:
+        """Dense ids of offsets known to be synsets, unchecked."""
         return self._ids.searchsorted(offsets)
+
+    def _row(self, csr, offset: int) -> np.ndarray:
+        indptr, indices = csr
+        d = _dense_id(self._ids, offset)
+        return indices[indptr[d]:indptr[d + 1]]
 
     @property
     def num_synsets(self) -> int:
@@ -180,7 +182,7 @@ class Taxonomy:
 
     @property
     def hypernym_edge_count(self) -> int:
-        return sum(len(p) for p in self._parents.values())
+        return len(self._up[1])
 
     @property
     def lemmas(self):
@@ -206,27 +208,28 @@ class Taxonomy:
         return None
 
     def parents(self, offset: int) -> tuple[int, ...]:
-        if offset == ROOT:
-            return ()
-        return self._parents[offset]
+        return tuple(self._ids[self._row(self._up, offset)].tolist())
 
     def children(self, offset: int) -> tuple[int, ...]:
-        return self._children.get(offset, ())
+        return tuple(self._ids[self._row(self._down, offset)].tolist())
 
     def subsumers(self, offset: int) -> frozenset[int]:
         """All ancestors of a synset, itself and the root included."""
-        if offset != ROOT and offset not in self.synsets:
-            raise KeyError(offset)
-        indptr, anc = self._closure
-        d = self._dense(offset)
-        lo, hi = indptr[d:d + 2].tolist()
-        return frozenset(self._ids[anc[lo:hi]].tolist())
+        return frozenset(self._ids[self._row(self._closure, offset)].tolist())
 
 
-def _runs(groups: np.ndarray, values: np.ndarray) -> tuple[list, list[tuple]]:
-    """Group ids and value tuples of each run of equal, sorted ``groups``."""
+def _dense_id(ids: np.ndarray, offset: int) -> int:
+    """Dense id of a synset offset or `ROOT`; `KeyError` for any other."""
+    d = int(ids.searchsorted(offset))
+    if d == len(ids) or ids[d] != offset:
+        raise KeyError(offset)
+    return d
+
+
+def _runs(groups: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """The value tuple of each run of equal, sorted ``groups``."""
     if not len(groups):
-        return [], []
+        return []
     firsts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
     vals = values.tolist()
     tuples = list(zip(values[firsts].tolist()))
@@ -235,7 +238,7 @@ def _runs(groups: np.ndarray, values: np.ndarray) -> tuple[list, list[tuple]]:
     ends = bounds.tolist()
     for run in np.flatnonzero(np.diff(bounds) > 1).tolist():
         tuples[run] = tuple(vals[ends[run]:ends[run + 1]])
-    return groups[firsts].tolist(), tuples
+    return tuples
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -280,8 +283,7 @@ def _lemma_index(ids: np.ndarray, words: list[tuple[str, ...]],
         raise TaxonomyStructureError(
             f"lemma {name!r} references missing synset {offsets[first]:08d}")
     pairs = _sorted_unique(key_ids * len(ids) + dense)
-    _, tuples = _runs(pairs // len(ids), ids[pairs % len(ids)])
-    return dict(zip(keys, tuples))
+    return dict(zip(keys, _runs(pairs // len(ids), ids[pairs % len(ids)])))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -290,65 +292,49 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
-def _depths(n: int, child: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Longest hypernym path from the root to each id; -1 for ids on or
-    under a cycle.  Edges come sorted by parent.  An id is placed in the
-    round after its last parent, so each round places one depth level."""
-    starts = np.searchsorted(parent, np.arange(n + 1))
-    waiting = np.bincount(child, minlength=n)  # parents not yet placed
-    depth = np.full(n, -1, dtype=np.int64)
-    placed = np.flatnonzero(waiting == 0)  # the root: synsets have parents
-    level = 0
-    while len(placed):
-        depth[placed] = level
-        kids = child[_ranges(starts[placed], starts[placed + 1])]
-        waiting -= np.bincount(kids, minlength=n)
-        placed = _sorted_unique(kids[waiting[kids] == 0])
-        level += 1
-    return depth
-
-
-def _raise_cycle(ids: np.ndarray, child: np.ndarray, parent: np.ndarray,
-                 stuck: np.ndarray) -> None:
-    # Every id left unplaced has an unplaced parent, so climbing through
-    # them from the smallest must revisit an id, and that id is on a cycle.
-    # Edges come sorted by child.
-    node, seen = int(np.flatnonzero(stuck)[0]), set()
-    while node not in seen:
-        seen.add(node)
-        lo, hi = np.searchsorted(child, [node, node + 1])
-        node = next(p for p in parent[lo:hi].tolist() if stuck[p])
-    raise TaxonomyStructureError(f"hypernym cycle through synset {ids[node]:08d}")
-
-
-def _closure(child: np.ndarray, parent: np.ndarray, depth: np.ndarray):
-    """CSR (indptr, ancestor ids) of the ancestor closure of a DAG.
-
-    Rows are built one depth level at a time, so the rows of a synset's
-    parents are complete when it reads them.
-    """
-    n = len(depth)
-    levels = np.arange(depth.max() + 2)
-    by_edge = np.argsort(depth[child], kind="stable")
-    edge_cuts = np.searchsorted(depth[child][by_edge], levels).tolist()
-    by_node = np.argsort(depth, kind="stable")
-    node_cuts = np.searchsorted(depth[by_node], levels).tolist()
+def _closure(ids: np.ndarray, up: tuple[np.ndarray, np.ndarray],
+             down: tuple[np.ndarray, np.ndarray]):
+    """CSR (indptr, ancestor ids) of the ancestor closure.  An id is placed
+    in the round after its last parent, so each round places one depth
+    level and the rows of an id's parents are complete when it reads them.
+    Ids never placed lie on or under a cycle."""
+    (up_ptr, parent), (down_ptr, child) = up, down
+    n = len(ids)
+    waiting = np.diff(up_ptr)  # parents not yet placed
     start = np.zeros(n, dtype=np.int64)  # where each id's row sits in rows
     length = np.ones(n, dtype=np.int64)
     rows = np.zeros(1, dtype=np.int32)  # the root's row: {root}
-    for level in range(1, len(levels) - 1):
-        edges = by_edge[edge_cuts[level]:edge_cuts[level + 1]]
-        nodes = by_node[node_cuts[level]:node_cuts[level + 1]]
-        c, p = child[edges], parent[edges]
-        # Each (child, ancestor of parent) pair, plus (node, node).
+    nodes = np.array([ROOT])  # the root: synsets have parents
+    while len(nodes):
+        kids = child[_ranges(down_ptr[nodes], down_ptr[nodes + 1])]
+        waiting -= np.bincount(kids, minlength=n)
+        nodes = _sorted_unique(kids[waiting[kids] == 0])
+        lo, hi = up_ptr[nodes], up_ptr[nodes + 1]
+        p = parent[_ranges(lo, hi)]
+        # Each (node, ancestor of a parent) pair, plus (node, node).
         ancestors = rows[_ranges(start[p], start[p] + length[p])]
-        keys = _sorted_unique(np.r_[np.repeat(c, length[p]) * n + ancestors,
-                                    nodes * n + nodes])
+        c = np.repeat(np.repeat(nodes, hi - lo), length[p])
+        keys = _sorted_unique(np.r_[c * n + ancestors, nodes * n + nodes])
         firsts = np.searchsorted(keys // n, nodes)
         start[nodes] = len(rows) + firsts
         length[nodes] = np.diff(np.r_[firsts, len(keys)])
         rows = np.concatenate((rows, (keys % n).astype(np.int32)))
+    if waiting.any():
+        _raise_cycle(ids, up, waiting > 0)
     return np.r_[0, np.cumsum(length)], rows[_ranges(start, start + length)]
+
+
+def _raise_cycle(ids: np.ndarray, up: tuple[np.ndarray, np.ndarray],
+                 stuck: np.ndarray) -> None:
+    # Every id left unplaced has an unplaced parent, so climbing through
+    # them from the smallest must revisit an id, and that id is on a cycle.
+    indptr, parent = up
+    node, seen = int(np.flatnonzero(stuck)[0]), set()
+    while node not in seen:
+        seen.add(node)
+        node = next(p for p in parent[indptr[node]:indptr[node + 1]].tolist()
+                    if stuck[p])
+    raise TaxonomyStructureError(f"hypernym cycle through synset {ids[node]:08d}")
 
 
 def load_taxonomy(index_path, data_path, pos: str) -> Taxonomy:
@@ -397,7 +383,7 @@ class TaxPath:
 
 def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     """The smallest (composition, nodes) label of a shortest path from
-    ``sources`` to ``targets``, two disjoint sets of synsets.
+    ``sources`` to ``targets``, two disjoint sets of synset offsets.
 
     Labels compare as tuples, so among equal-length paths the winner takes
     up edges as early as possible (up sorts before down), then the
@@ -405,27 +391,34 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     the length D and the layer where the two searches meet; its layers,
     cut back from there, give the shortest-path DAG, the nodes on some
     shortest path.  A greedy walk through that DAG finds the smallest
-    label.
+    label.  The search runs on dense ids, which sort as the offsets do.
     """
-    step = (tax._parents, tax._children)  # indexed by UP and DOWN
+    # Memoryviews of the CSR arrays index and iterate as Python ints.
+    (up_ptr, up), (down_ptr, down) = step = [
+        tuple(map(memoryview, csr)) for csr in (tax._up, tax._down)]
+
+    def row(direction, v):  # direction is UP or DOWN
+        indptr, indices = step[direction]
+        return indices[indptr[v]:indptr[v + 1]]
 
     def neighbors(nodes):
         found = set()
         for v in nodes:
-            found.update(step[UP].get(v, ()))
-            found.update(step[DOWN].get(v, ()))
+            found.update(up[up_ptr[v]:up_ptr[v + 1]])
+            found.update(down[down_ptr[v]:down_ptr[v + 1]])
         return found
 
     def edges(nodes):
-        return sum(len(step[UP].get(v, ())) + len(step[DOWN].get(v, ()))
+        return sum(up_ptr[v + 1] - up_ptr[v] + down_ptr[v + 1] - down_ptr[v]
                    for v in nodes)
 
     # Grow the side whose frontier has fewer incident edges, one layer at
     # a time.  Until they meet, the sides' visited sets are disjoint, so
     # the first layer that meets the other side is the DAG layer there.
-    layers = ([set(sources)], [set(targets)])
-    seen = (set(sources), set(targets))
-    cost = [edges(sources), edges(targets)]
+    ends = [set(tax._dense(list(end)).tolist()) for end in (sources, targets)]
+    layers = tuple([end] for end in ends)
+    seen = tuple(set(end) for end in ends)
+    cost = [edges(end) for end in ends]
     while True:
         side = 0 if cost[0] <= cost[1] else 1
         layer = neighbors(layers[side][-1]) - seen[side]
@@ -456,7 +449,7 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     comp, reached = [], [dag[0]]
     for i in range(length):
         for direction in (UP, DOWN):
-            nxt = {w for v in reached[i] for w in step[direction].get(v, ())
+            nxt = {w for v in reached[i] for w in row(direction, v)
                    if w in dag[i + 1]}
             if nxt:
                 break
@@ -466,11 +459,11 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     # the smallest offset at each step.
     for i in range(length - 1, -1, -1):
         reached[i] = {v for v in reached[i]
-                      if not reached[i + 1].isdisjoint(step[comp[i]].get(v, ()))}
+                      if not reached[i + 1].isdisjoint(row(comp[i], v))}
     nodes = [min(reached[0])]
     for i in range(length):
-        nodes.append(min(reached[i + 1].intersection(step[comp[i]].get(nodes[-1], ()))))
-    return tuple(comp), tuple(nodes)
+        nodes.append(min(reached[i + 1].intersection(row(comp[i], nodes[-1]))))
+    return tuple(comp), tuple(tax._ids[nodes].tolist())
 
 
 def shortest_path(tax: Taxonomy, lemma1: str, lemma2: str) -> TaxPath:
@@ -499,21 +492,23 @@ def shortest_path(tax: Taxonomy, lemma1: str, lemma2: str) -> TaxPath:
 # -- information content and Jiang-Conrath distance --------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ICTable:
     """Cumulative corpus counts per synset and the derived -ln p values."""
 
-    pos: str
-    counts: Mapping[int, float]
+    cumulative: np.ndarray  # float64, by the taxonomy's dense ids
+    ids: np.ndarray  # the taxonomy's offset of each dense id
     total: float
-    smoothing: float
     skipped: int  # input keys that matched nothing in the taxonomy
 
     def count(self, offset: int) -> float:
-        return self.counts[offset]
+        return float(self.cumulative[_dense_id(self.ids, offset)])
 
     def ic(self, offset: int) -> float:
-        value = self.counts[offset]
+        return self._ic(_dense_id(self.ids, offset))
+
+    def _ic(self, d: int) -> float:  # by dense id
+        value = float(self.cumulative[d])
         if value <= 0.0:
             return math.inf
         if value >= self.total:
@@ -573,8 +568,7 @@ def ic_from_counts(
     total = float(cumulative[ROOT])
     if total <= 0.0:
         raise IcCountsError("counts carry no mass; supply counts or smoothing")
-    counts = dict(zip(ids.tolist(), cumulative.tolist()))
-    return ICTable(tax.pos, counts, total, float(smoothing), skipped)
+    return ICTable(cumulative, ids, total, skipped)
 
 
 def parse_ic_counts(stream: IO[bytes] | Iterable[bytes]) -> tuple[str, list[tuple[str, float]]]:
@@ -643,10 +637,9 @@ def ic_from_parsed(tax: Taxonomy, parsed: tuple[str, list[tuple[str, float]]],
         return ic_from_counts(tax, lemma_counts=lemma_counts, smoothing=smoothing)
     synset_counts: dict[int, float] = {}
     for key, count in entries:
-        try:
-            offset = int(key)
-        except ValueError:
-            raise IcCountsError(f"bad synset offset {key!r}") from None
+        if not _digits(key):
+            raise IcCountsError(f"bad synset offset {key!r}")
+        offset = int(key)
         synset_counts[offset] = synset_counts.get(offset, 0.0) + count
     return ic_from_counts(tax, synset_counts=synset_counts, smoothing=smoothing)
 
@@ -658,21 +651,27 @@ def jiang_conrath(tax: Taxonomy, ic: ICTable, lemma1: str, lemma2: str) -> float
     0 exactly when the lemmas share a synset; infinity when every synset
     pair involves a zero-count synset.
     """
+    if ic.ids is not tax._ids and not np.array_equal(ic.ids, tax._ids):
+        raise ValueError("the IC table was built for another taxonomy")
     offs1 = tax.synsets_of(lemma1)
     offs2 = tax.synsets_of(lemma2)
     if not set(offs1).isdisjoint(offs2):
         return 0.0
+
+    def subsumers(offset):  # as dense ids
+        return set(tax._row(tax._closure, offset).tolist())
+
     # Each synset's subsumer set is built once per call.
-    second = [(ic.ic(s2), tax.subsumers(s2)) for s2 in offs2
+    second = [(ic.ic(s2), subsumers(s2)) for s2 in offs2
               if not math.isinf(ic.ic(s2))]
     best = math.inf
     for s1 in offs1:
         ic1 = ic.ic(s1)
         if math.isinf(ic1):
             continue
-        sub1 = tax.subsumers(s1)
+        sub1 = subsumers(s1)
         for ic2, sub2 in second:
-            lcs_ic = max(map(ic.ic, sub1 & sub2))
+            lcs_ic = max(map(ic._ic, sub1 & sub2))
             distance = ic1 + ic2 - 2.0 * lcs_ic
             if distance < best:
                 best = max(distance, 0.0)

@@ -154,6 +154,19 @@ def test_subsumers_include_self_and_root(t1):
                     synset_by_lemma(t1, "entity"), ROOT}
 
 
+@pytest.mark.parametrize("lookup", ["parents", "children", "subsumers",
+                                    "count", "ic"])
+def test_unknown_offsets_raise_key_error(t1, t1_ic, lookup):
+    # The fixture's synsets lie between 62 and 475; 999 lies past the
+    # last, 1 before the first and 100 between two.
+    method = getattr(t1_ic if lookup in ("count", "ic") else t1, lookup)
+    for offset in (999, 1, 100, -5):
+        with pytest.raises(KeyError):
+            method(offset)
+    method(ROOT)
+    method(t1.synsets_of("dog")[0])
+
+
 def test_unknown_lemma_raises(t1):
     with pytest.raises(UnknownLemmaError) as err:
         t1.synsets_of("unicorn")
@@ -381,6 +394,12 @@ def test_load_ic_accumulates_repeated_keys(t1):
     (b"#ic-counts:lemma\ndog\tnan\n", "line 2: count 'nan' is not finite"),
     (b"#ic-counts:lemma\ncat\t1\ndog\tinf\n", "line 3: count 'inf' is not finite"),
     (b"#ic-counts:offset\n11\t-Infinity\n", "line 2: count '-Infinity' is not finite"),
+    # Offset keys take ASCII digits only, as the WNdb offset fields do.
+    (b"#ic-counts:offset\n1_0\t1\n", "bad synset offset '1_0'"),
+    (b"#ic-counts:offset\n+7\t1\n", "bad synset offset '+7'"),
+    (b"#ic-counts:offset\n 7 \t1\n", "bad synset offset ' 7 '"),
+    (b"#ic-counts:offset\n-7\t1\n", "bad synset offset '-7'"),
+    ("#ic-counts:offset\n\u0667\t1\n".encode(), "bad synset offset '\u0667'"),
 ])
 def test_load_ic_rejects_malformed_input(t1, payload, fragment):
     with pytest.raises(IcCountsError) as err:
@@ -405,6 +424,18 @@ def test_jcn_zero_iff_shared_synset(t1, t1_ic):
 def test_jcn_symmetric(t1, t1_ic):
     assert jiang_conrath(t1, t1_ic, "dog", "car") == \
         jiang_conrath(t1, t1_ic, "car", "dog")
+
+
+def test_jcn_reads_only_an_ic_table_of_the_same_synsets(t1, t1_ic):
+    # The table is indexed by dense ids, which another synset set would
+    # assign differently.
+    other = Taxonomy.build("noun", {62: ["dog"], 100: ["cat"]})
+    with pytest.raises(ValueError):
+        jiang_conrath(other, t1_ic, "dog", "cat")
+    same = load_taxonomy(FIXTURE_DIR / "wndb" / "index.noun",
+                         FIXTURE_DIR / "wndb" / "data.noun", "noun")
+    assert jiang_conrath(same, t1_ic, "dog", "car") == \
+        jiang_conrath(t1, t1_ic, "dog", "car")
 
 
 def test_jcn_minimizes_over_synset_pairs():
