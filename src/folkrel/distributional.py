@@ -131,8 +131,11 @@ def build_cooccurrence(f: Folksonomy) -> CoGraph:
     return CoGraph(f.tags, matrix)
 
 
-def _ranked(g: CoGraph, ids: np.ndarray, scores: np.ndarray, k: int | None = None):
-    """RelatedTags for ``ids`` by score descending, then tag string."""
+def _ranked(g, ids: np.ndarray, scores: np.ndarray, k: int | None = None):
+    """RelatedTags for ``ids`` by score descending, then tag string.
+
+    ``g`` is any graph with ``tags`` and their ``tag_rank``: a CoGraph or
+    a FolkGraph."""
     order = np.lexsort((g.tag_rank[ids], -scores))[:k]
     return tuple(RelatedTag(g.tags[i], s) for i, s in
                  zip(ids[order].tolist(), scores[order].tolist()))

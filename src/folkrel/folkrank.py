@@ -14,18 +14,25 @@ and the ranks under the uniform preference.
 Graphs are immutable after build; every node has degree >= 1 (each user,
 tag and resource occurs in at least one triple), so there is no dangling
 mass to redistribute.
+
+``rank_tags`` runs many tag-preference walks as one multi-column walk.  Each
+column repeats ``rank``'s arithmetic operation for operation (the CSR
+multi-vector product accumulates every column in the order of the
+single-vector product, and each residual is summed over a contiguous row),
+so every column stops at the same iteration with the same bits as ``rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .core import Folksonomy, UnknownTagError, normalize_tag
-from .distributional import (RelatedList, RelatedTag, post_tag_incidence,
-                             string_rank)
+from .distributional import (RelatedList, RelatedTag, _ranked,
+                             post_tag_incidence, string_rank)
 
 KIND_USER = "user"
 KIND_TAG = "tag"
@@ -151,6 +158,15 @@ def build_folkgraph(f: Folksonomy) -> FolkGraph:
     return FolkGraph(f.users, f.tags, f.resources, adjacency)
 
 
+def _check_walk(damping: float, tol: float, max_iter: int) -> None:
+    if not 0.0 <= damping <= 1.0:
+        raise ValueError(f"damping must be in [0, 1], got {damping}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def rank(
     g: FolkGraph,
     damping: float = DEFAULT_DAMPING,
@@ -163,12 +179,7 @@ def rank(
     Starts from the preference vector, so damping 0 converges in one step.
     Exhausting ``max_iter`` is reported via the converged flag, not raised.
     """
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError(f"damping must be in [0, 1], got {damping}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_walk(damping, tol, max_iter)
     p = g.uniform_preference() if preference is None else np.asarray(preference, dtype=np.float64)
     if p.shape != (g.num_nodes,):
         raise PreferenceError(
@@ -192,6 +203,72 @@ def rank(
     return RankVector(w, False, iterations, residual)
 
 
+def rank_tags(
+    g: FolkGraph,
+    tags: Sequence[str],
+    damping: float = DEFAULT_DAMPING,
+    beta: float = DEFAULT_BETA,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[RankVector]:
+    """``rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)`` for
+    every tag, bit for bit, computed as one walk over an n×len(tags) block.
+
+    Each column is frozen at its own stop and leaves the block, so later
+    products carry only the walks still running.  The returned weights are
+    columns of one shared array.
+    """
+    _check_walk(damping, tol, max_iter)
+    n = g.num_nodes
+    b = len(tags)
+    out = np.empty((n, b))
+    for c, tag in enumerate(tags):
+        out[:, c] = g.tag_preference(tag, beta)
+    nodes = np.array([g.tag_node(t) for t in tags], dtype=np.int64)
+    # rank's teleport (1 - d) * p takes one value on the query node and one
+    # everywhere else; these are the two products it computes.
+    on_tag = (1.0 - damping) * beta
+    off_tag = (1.0 - damping) * ((1.0 - beta) / (n - 1))
+    iterations = np.zeros(b, dtype=np.int64)
+    residual = np.zeros(b)
+    active = np.arange(b)
+    w = out.copy()
+    scratch = np.empty((b, n))
+    transition = g._transition
+    it = 0
+    while active.size:
+        it += 1
+        cells = (nodes[active], np.arange(active.size))
+        w_next = transition @ w
+        w_next *= damping
+        at_tag = w_next[cells] + on_tag
+        w_next += off_tag
+        w_next[cells] = at_tag
+        # Row c of ``delta`` holds column c contiguously, so its sum pairs
+        # the terms exactly as rank's one-dimensional sum does.
+        delta = scratch[:active.size]
+        np.subtract(w_next.T, w.T, out=delta)
+        np.abs(delta, out=delta)
+        res = delta.sum(axis=1)
+        done = (res <= tol) | (it == max_iter)
+        stopped = active[done]
+        out[:, stopped] = w_next[:, done]
+        iterations[stopped] = it
+        residual[stopped] = res[done]
+        active = active[~done]
+        w = w_next[:, ~done] if done.any() else w_next
+    return [RankVector(out[:, c], bool(residual[c] <= tol), int(iterations[c]),
+                       float(residual[c])) for c in range(b)]
+
+
+def _related(g: FolkGraph, weights: np.ndarray, base: RankVector, node: int,
+             k: int | None = None) -> tuple[RelatedTag, ...]:
+    """Tags other than ``node`` by differential weight, then tag string."""
+    tags = slice(g.tag_offset, g.resource_offset)
+    others = np.delete(np.arange(len(g.tags)), node - g.tag_offset)
+    return _ranked(g, others, (weights[tags] - base.weights[tags])[others], k)
+
+
 def folkrank_relatedness(
     g: FolkGraph,
     tag: str,
@@ -211,12 +288,5 @@ def folkrank_relatedness(
     if base is None:
         base = rank(g, damping, None, tol, max_iter)
     preferred = rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)
-    diff = preferred.weights - base.weights
-
-    t_off = g.tag_offset
-    diff_tags = diff[t_off:t_off + len(g.tags)]
-    order = np.lexsort((g.tag_rank, -diff_tags))
-    order = order[order != node - t_off]
-    items = tuple(RelatedTag(g.tags[tid], score) for tid, score in
-                  zip(order.tolist(), diff_tags[order].tolist()))
-    return RelatedList(source=g.node_name(node), items=items)
+    return RelatedList(source=g.node_name(node),
+                       items=_related(g, preferred.weights, base, node))

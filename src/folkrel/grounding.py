@@ -25,9 +25,11 @@ from typing import Iterable, Mapping, Sequence
 from .core import Folksonomy, tag_stats
 from .distributional import (CoGraph, RelatedTag, build_cooccurrence,
                              cosine_relatedness, freq_relatedness)
+# folkrank_relatedness is not called here; it stays importable from this
+# module because bench/spans.py wraps it here for the relate queries.
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
-                       DEFAULT_TOL, FolkGraph, build_folkgraph,
-                       folkrank_relatedness, rank)
+                       DEFAULT_TOL, FolkGraph, RankVector, _related,
+                       build_folkgraph, folkrank_relatedness, rank, rank_tags)
 from .tsvio import atomic_write_json, atomic_write_text, fmt6
 from .wordnet import (ICTable, Taxonomy, ic_from_counts, jiang_conrath,
                       shortest_path)
@@ -41,6 +43,12 @@ EDGE_PATTERNS = {
     2: ("up-up", "up-down", "down-up", "down-down"),
 }
 RANK_BUCKETS = 50
+# FolkRank top lists walk this many query tags at once, fewer when one
+# n×block float64 block of the folded graph would pass QUERY_BLOCK_BYTES.
+# Both were the fastest in a sweep over graphs of 4k to 157k nodes; wider
+# blocks lost once a block grew past about 15 MB.
+QUERY_BLOCK = 16
+QUERY_BLOCK_BYTES = 12 << 20
 
 REPORT_FILES = (
     "report_coverage.tsv",
@@ -59,6 +67,30 @@ class RankParams:
     beta: float = DEFAULT_BETA
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
+
+
+@dataclass(frozen=True)
+class WalkStats:
+    """Convergence of the FolkRank walks behind a report: the per-tag walks
+    plus the uniform-preference base walk."""
+
+    walks: int = 0
+    nonconverged: int = 0
+    max_iterations: int = 0
+    max_residual: float | None = None  # None when no walk ran
+
+    @classmethod
+    def of(cls, walks: Sequence[tuple[bool, int, float]]) -> "WalkStats":
+        """From (converged, iterations, residual) per walk."""
+        if not walks:
+            return cls()
+        converged, iterations, residuals = zip(*walks)
+        return cls(walks=len(walks), nonconverged=converged.count(False),
+                   max_iterations=max(iterations), max_residual=max(residuals))
+
+
+def _outcome(v: RankVector) -> tuple[bool, int, float]:
+    return v.converged, v.iterations, v.residual
 
 
 @dataclass(frozen=True)
@@ -198,6 +230,7 @@ class GroundingEvaluator:
         self._top: dict[str, dict[str, tuple[RelatedTag, ...]]] = {}
         self._pairs: dict[str, MeasurePairs] = {}
         self._matches: dict[str, dict[str, str]] = {}
+        self._walks = WalkStats()
 
     @property
     def folkgraph(self) -> FolkGraph:
@@ -237,18 +270,23 @@ class GroundingEvaluator:
         g = self.folkgraph
         p = self.params
         base = rank(g, p.damping, None, p.tol, p.max_iter)
+        size = max(1, min(QUERY_BLOCK, QUERY_BLOCK_BYTES // (8 * g.num_nodes)))
+        blocks = [self._tags[i:i + size] for i in range(0, len(self._tags), size)]
 
-        def query(tag: str) -> tuple[RelatedTag, ...]:
-            return folkrank_relatedness(
-                g, tag, p.damping, p.beta, p.tol, p.max_iter, base=base
-            ).top(self.k)
+        def walk(block):
+            vectors = rank_tags(g, block, p.damping, p.beta, p.tol, p.max_iter)
+            tops = [_related(g, v.weights, base, g.tag_node(tag), self.k)
+                    for tag, v in zip(block, vectors)]
+            return tops, [_outcome(v) for v in vectors]
 
         if self.threads > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                tops = list(pool.map(query, self._tags))
+                done = list(pool.map(walk, blocks))
         else:
-            tops = [query(t) for t in self._tags]
-        return dict(zip(self._tags, tops))
+            done = [walk(block) for block in blocks]
+        self._walks = WalkStats.of(
+            [_outcome(base)] + [o for _, outcomes in done for o in outcomes])
+        return dict(zip(self._tags, (top for tops, _ in done for top in tops)))
 
     def _metric_match(self, tag: str) -> dict[str, str]:
         """Lemma match per distance-eligible part of speech."""
@@ -419,6 +457,7 @@ class GroundingEvaluator:
             curves={m: self.rank_curve(m) for m in measures},
             k=self.k,
             params=self.params,
+            walks=self._walks if "folkrank" in measures else WalkStats(),
         )
 
 
@@ -448,6 +487,7 @@ class GroundingReport:
     curves: Mapping[str, RankCurve]
     k: int
     params: RankParams
+    walks: WalkStats
 
 
 def _coverage_text(report: GroundingReport) -> str:
@@ -534,6 +574,7 @@ def _report_json(report: GroundingReport) -> dict:
             "tol": report.params.tol,
             "max_iter": report.params.max_iter,
         },
+        "folkrank": asdict(report.walks),
         "measures": {},
         "overlaps": [
             {"measure_a": row.measure_a, "measure_b": row.measure_b,

@@ -227,6 +227,19 @@ def test_ground_writes_reports(ground_posts, tmp_path, capsys):
     assert payload["measures"]["freq"]["path_mean"] == pytest.approx(3.0)
 
 
+def test_ground_reports_walks_cut_short(ground_posts, tmp_path, capsys):
+    out = tmp_path / "report"
+    code, _, _ = run(capsys, "ground", "--posts", str(ground_posts),
+                     "--wordnet-dir", str(WNDB_DIR), "--out", str(out),
+                     "--max-iter", "2")
+    assert code == 0
+    walks = json.loads((out / "report.json").read_text())["folkrank"]
+    assert walks["walks"] == 5  # four tags plus the base walk
+    assert walks["nonconverged"] == walks["walks"]
+    assert walks["max_iterations"] == 2
+    assert walks["max_residual"] > 1e-8
+
+
 def test_ground_requires_wordnet_dir(ground_posts, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(WORDNET_ENV, raising=False)
     code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),

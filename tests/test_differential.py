@@ -1,6 +1,7 @@
 """Differential tests: the CSR co-occurrence graph, the numpy FolkRank
-selection, the array-built WNdb taxonomy and the bidirectional path search
-against the references in ``oracles``.
+selection, the multi-column FolkRank walk, the array-built WNdb taxonomy
+and the bidirectional path search against the references in ``oracles``
+(and the block walk against one ``rank`` per tag).
 
 Agreement is exact: the same tags with the same float scores in the same
 order, ties included; the same taxonomy, IC counts to the last bit, and
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel.core import Folksonomy
+from folkrel.core import Folksonomy, UnknownTagError
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
-from folkrel.folkrank import build_folkgraph, folkrank_relatedness, rank
+from folkrel.folkrank import (PreferenceError, build_folkgraph,
+                              folkrank_relatedness, rank, rank_tags)
+from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
 from folkrel.wndb import WndbFormatError, parse_data, parse_index, render_database
 from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
                              _smallest_label, ic_from_counts, shortest_path)
@@ -80,6 +83,125 @@ def test_folkrank_selection_matches_tuple_sort(posts):
         got = folkrank_relatedness(g, tag, base=base)
         diff = rank(g, preference=g.tag_preference(tag, 0.5)).weights - base.weights
         assert pairs(got.items) == oracles.folkrank_order(g, diff, g.tag_node(tag))
+
+
+# Two mirror-image components: every score has an exact tie.
+MIRROR = [("u1", "r1", ["a", "b"]), ("u2", "r2", ["c", "d"])]
+
+
+def assert_walks_match_rank(g, tags, vectors, damping=0.7, beta=0.5,
+                            tol=1e-8, max_iter=200):
+    assert len(vectors) == len(tags)
+    for tag, got in zip(tags, vectors):
+        ref = rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)
+        assert np.array_equal(got.weights, ref.weights)
+        assert (got.iterations, got.converged, got.residual) == (
+            ref.iterations, ref.converged, ref.residual)
+
+
+@CASES
+@given(corpora(), st.integers(1, 20), st.integers(1, 40),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.05, 0.5, 0.95]))
+@example(MIRROR, 16, 200, 0.7, 0.5)
+def test_block_walk_matches_rank_per_column(posts, block, max_iter, damping,
+                                            beta):
+    g = build_folkgraph(Folksonomy.from_posts(posts))
+    tags = sorted(g.tags)
+    for i in range(0, len(tags), block):
+        part = tags[i:i + block]
+        assert_walks_match_rank(
+            g, part, rank_tags(g, part, damping, beta, 1e-8, max_iter),
+            damping, beta, 1e-8, max_iter)
+
+
+def seeded_posts(seed, num_posts, num_tags):
+    rng = np.random.default_rng(seed)
+    return [(f"u{rng.integers(40)}", f"r{rng.integers(60)}",
+             sorted({f"t{i}" for i in rng.integers(num_tags, size=3)}))
+            for _ in range(num_posts)]
+
+
+def test_block_walk_freezes_columns_at_their_own_stop():
+    g = build_folkgraph(Folksonomy.from_posts(seeded_posts(4, 30, 20)))
+    tags = sorted(g.tags)[:QUERY_BLOCK]
+    needed = [rank(g, preference=g.tag_preference(t, 0.5)).iterations
+              for t in tags]
+    # Cut the walk one step short of the slowest column: the rest stop
+    # converged earlier in the same block, the slowest ones exhaust it.
+    max_iter = max(needed) - 1
+    assert min(needed) < max_iter
+    vectors = rank_tags(g, tags, max_iter=max_iter)
+    assert {v.converged for v in vectors} == {True, False}
+    assert len({v.iterations for v in vectors}) > 1
+    assert_walks_match_rank(g, tags, vectors, max_iter=max_iter)
+
+
+def test_block_walk_of_no_tags_is_empty():
+    g = build_folkgraph(Folksonomy.from_posts(MIRROR))
+    assert rank_tags(g, []) == []
+
+
+def assert_lists_match_relatedness(f, k, threads=1):
+    evaluator = GroundingEvaluator(f, {}, k=k, threads=threads)
+    got = evaluator.top_related("folkrank")
+    g = build_folkgraph(f)
+    base = rank(g)
+    assert list(got) == sorted(f.tags)
+    for tag, items in got.items():
+        assert items == folkrank_relatedness(g, tag, base=base).top(k)
+
+
+@CASES
+@given(corpora(), st.integers(1, 12))
+@example(MIRROR, 1)
+@example(MIRROR, 12)  # k past the three candidates
+@example(ISOLATED, 12)
+def test_evaluator_folkrank_lists_match_relatedness(posts, k):
+    assert_lists_match_relatedness(Folksonomy.from_posts(posts), k)
+
+
+@pytest.mark.parametrize("num_tags", [1, 5, QUERY_BLOCK, 2 * QUERY_BLOCK + 5])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluator_folkrank_lists_across_block_boundaries(num_tags, threads):
+    posts = seeded_posts(num_tags, 4 * num_tags, num_tags)
+    f = Folksonomy.from_posts(posts)
+    assert f.num_tags == num_tags
+    assert_lists_match_relatedness(f, 10, threads)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("damping,beta,tol,max_iter", [
+    (-0.1, 0.5, 1e-8, 200), (1.5, 0.5, 1e-8, 200),
+    (0.7, 0.0, 1e-8, 200), (0.7, 1.0, 1e-8, 200), (0.7, -0.5, 1e-8, 200),
+    (0.7, 0.5, 0.0, 200), (0.7, 0.5, -1.0, 200), (0.7, 0.5, 1e-8, 0),
+])
+def test_block_walk_rejects_what_rank_rejects(damping, beta, tol, max_iter):
+    f = Folksonomy.from_posts(MIRROR)
+    g = build_folkgraph(f)
+
+    def one_query():
+        return rank(g, damping, g.tag_preference("a", beta), tol, max_iter)
+
+    expected = raised(one_query)
+    assert expected is not None
+    assert expected[0] in (ValueError, PreferenceError)
+    assert raised(rank_tags, g, ["a", "b"], damping, beta, tol, max_iter) == expected
+    evaluator = GroundingEvaluator(
+        f, {}, rank_params=RankParams(damping, beta, tol, max_iter))
+    assert raised(evaluator.top_related, "folkrank") == expected
+
+
+def test_block_walk_rejects_unknown_tags():
+    g = build_folkgraph(Folksonomy.from_posts(MIRROR))
+    with pytest.raises(UnknownTagError):
+        rank_tags(g, ["a", "zzz"])
 
 
 @CASES

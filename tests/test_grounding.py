@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -312,6 +313,12 @@ def test_report_json_payload(toy_eval, tmp_path):
     assert payload["measures"]["freq"]["pairs"] == 2
     assert payload["k"] == 10
     assert payload["params"]["damping"] == pytest.approx(0.7)
+    walks = payload["folkrank"]
+    assert walks["walks"] == 5  # one per tag plus the base walk
+    assert walks["nonconverged"] == 0
+    assert 1 <= walks["max_iterations"] <= 200
+    assert 0.0 <= walks["max_residual"] <= 1e-8
+    assert walks == asdict(report.walks)
 
     curves = payload["rank_curves"]
     assert sorted(curves) == sorted(MEASURES)
@@ -338,6 +345,16 @@ def test_empty_corpus_report_is_flagged_not_crashing(t1, tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["coverage"]["defined"] is False
     assert payload["measures"]["freq"]["path_mean"] is None
+    assert payload["folkrank"] == {"walks": 0, "nonconverged": 0,
+                                   "max_iterations": 0, "max_residual": None}
+
+
+def test_report_without_folkrank_counts_no_walks(toy_eval, tmp_path):
+    toy_eval.top_related("folkrank")
+    write_report_files(toy_eval.report(("freq", "cosine")), tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["folkrank"]["walks"] == 0
+    assert payload["folkrank"]["max_residual"] is None
 
 
 def test_summary_lines(toy_eval):
