@@ -70,7 +70,7 @@ class RunConfig:
             raise ValueError(f"--damping must be in [0, 1], got {self.damping}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"--beta must be in (0, 1), got {self.beta}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"--tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"--max-iter must be >= 1, got {self.max_iter}")
@@ -220,7 +220,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ground_parser.add_argument("-k", type=int, default=10,
                                help="top list size for grounding (default 10)")
     _add_rank_flags(ground_parser)
-    ground_parser.add_argument("--threads", type=int, default=1)
+    ground_parser.add_argument(
+        "--threads", type=int, default=1,
+        help="run the FolkRank walks on that many threads, one block of 16 "
+             "query tags at a time, without changing any output byte (default 1)")
     ground_parser.set_defaults(handler=cmd_ground)
 
     stats_parser = subparsers.add_parser(

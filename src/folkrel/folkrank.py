@@ -15,11 +15,13 @@ Graphs are immutable after build; every node has degree >= 1 (each user,
 tag and resource occurs in at least one triple), so there is no dangling
 mass to redistribute.
 
-``rank_tags`` runs many tag-preference walks as one multi-column walk.  Each
-column repeats ``rank``'s arithmetic operation for operation (the CSR
-multi-vector product accumulates every column in the order of the
-single-vector product, and each residual is summed over a contiguous row),
-so every column stops at the same iteration with the same bits as ``rank``.
+One power iteration serves every walk: it runs an n×B block of preference
+columns, and ``rank`` is its one-column case.  ``rank_tags`` runs many
+tag-preference walks as one block.  A column's bits do not depend on the
+block around it (the CSR multi-vector product accumulates every column in
+the order of the single-vector product, and each residual is summed over a
+contiguous row), so every column stops at the same iteration with the same
+weights as its own ``rank``.
 """
 
 from __future__ import annotations
@@ -158,13 +160,55 @@ def build_folkgraph(f: Folksonomy) -> FolkGraph:
     return FolkGraph(f.users, f.tags, f.resources, adjacency)
 
 
-def _check_walk(damping: float, tol: float, max_iter: int) -> None:
+def _walk(g: FolkGraph, prefs: np.ndarray, damping: float, tol: float,
+          max_iter: int) -> list[RankVector]:
+    """Damped power iteration of every column of the n×B preference block.
+
+    Each column stops at its own L1 residual of ``tol`` or at ``max_iter``, is
+    frozen and leaves the block, so later products carry only the walks
+    still running.  Only the first product reads ``prefs``; frozen columns
+    overwrite it, and the returned weights are its columns.
+    """
     if not 0.0 <= damping <= 1.0:
         raise ValueError(f"damping must be in [0, 1], got {damping}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    n, b = prefs.shape
+    iterations = np.zeros(b, dtype=np.int64)
+    residual = np.zeros(b)
+    active = np.arange(b)
+    teleport = (1.0 - damping) * prefs
+    w = prefs
+    scratch = np.empty((b, n))
+    transition = g._transition
+    it = 0
+    while active.size:
+        it += 1
+        w_next = transition @ w
+        w_next *= damping
+        w_next += teleport
+        # Row c of ``delta`` holds column c contiguously, so its sum pairs
+        # the terms as a one-dimensional sum over that column does.
+        delta = scratch[:active.size]
+        np.subtract(w_next.T, w.T, out=delta)
+        np.abs(delta, out=delta)
+        res = delta.sum(axis=1)
+        # Testing Python floats keeps the iterations where nothing stops
+        # as cheap as the one-vector loop's scalar test.
+        if it == max_iter or min(res.tolist()) <= tol:
+            done = (res <= tol) | (it == max_iter)
+            stopped = active[done]
+            prefs[:, stopped] = w_next[:, done]
+            iterations[stopped] = it
+            residual[stopped] = res[done]
+            active = active[~done]
+            w_next = w_next[:, ~done]
+            teleport = teleport[:, ~done]
+        w = w_next
+    return [RankVector(prefs[:, c], bool(residual[c] <= tol), int(iterations[c]),
+                       float(residual[c])) for c in range(b)]
 
 
 def rank(
@@ -179,28 +223,16 @@ def rank(
     Starts from the preference vector, so damping 0 converges in one step.
     Exhausting ``max_iter`` is reported via the converged flag, not raised.
     """
-    _check_walk(damping, tol, max_iter)
-    p = g.uniform_preference() if preference is None else np.asarray(preference, dtype=np.float64)
+    p = g.uniform_preference() if preference is None else np.array(preference, dtype=np.float64)
     if p.shape != (g.num_nodes,):
         raise PreferenceError(
             f"preference has shape {p.shape}, expected ({g.num_nodes},)")
-    if (p < 0).any():
-        raise PreferenceError("preference weights must be non-negative")
+    if not (np.isfinite(p) & (p >= 0)).all():
+        raise PreferenceError(
+            "preference weights must be finite and non-negative")
     if abs(p.sum() - 1.0) > _SUM_TOL:
         raise PreferenceError(f"preference must sum to 1, got {p.sum()!r}")
-
-    transition = g._transition
-    teleport = (1.0 - damping) * p
-    w = p.copy()
-    residual = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_next = damping * (transition @ w) + teleport
-        residual = float(np.abs(w_next - w).sum())
-        w = w_next
-        if residual <= tol:
-            return RankVector(w, True, iterations, residual)
-    return RankVector(w, False, iterations, residual)
+    return _walk(g, p[:, None], damping, tol, max_iter)[0]
 
 
 def rank_tags(
@@ -213,52 +245,11 @@ def rank_tags(
 ) -> list[RankVector]:
     """``rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)`` for
     every tag, bit for bit, computed as one walk over an n×len(tags) block.
-
-    Each column is frozen at its own stop and leaves the block, so later
-    products carry only the walks still running.  The returned weights are
-    columns of one shared array.
     """
-    _check_walk(damping, tol, max_iter)
-    n = g.num_nodes
-    b = len(tags)
-    out = np.empty((n, b))
+    prefs = np.empty((g.num_nodes, len(tags)))
     for c, tag in enumerate(tags):
-        out[:, c] = g.tag_preference(tag, beta)
-    nodes = np.array([g.tag_node(t) for t in tags], dtype=np.int64)
-    # rank's teleport (1 - d) * p takes one value on the query node and one
-    # everywhere else; these are the two products it computes.
-    on_tag = (1.0 - damping) * beta
-    off_tag = (1.0 - damping) * ((1.0 - beta) / (n - 1))
-    iterations = np.zeros(b, dtype=np.int64)
-    residual = np.zeros(b)
-    active = np.arange(b)
-    w = out.copy()
-    scratch = np.empty((b, n))
-    transition = g._transition
-    it = 0
-    while active.size:
-        it += 1
-        cells = (nodes[active], np.arange(active.size))
-        w_next = transition @ w
-        w_next *= damping
-        at_tag = w_next[cells] + on_tag
-        w_next += off_tag
-        w_next[cells] = at_tag
-        # Row c of ``delta`` holds column c contiguously, so its sum pairs
-        # the terms exactly as rank's one-dimensional sum does.
-        delta = scratch[:active.size]
-        np.subtract(w_next.T, w.T, out=delta)
-        np.abs(delta, out=delta)
-        res = delta.sum(axis=1)
-        done = (res <= tol) | (it == max_iter)
-        stopped = active[done]
-        out[:, stopped] = w_next[:, done]
-        iterations[stopped] = it
-        residual[stopped] = res[done]
-        active = active[~done]
-        w = w_next[:, ~done] if done.any() else w_next
-    return [RankVector(out[:, c], bool(residual[c] <= tol), int(iterations[c]),
-                       float(residual[c])) for c in range(b)]
+        prefs[:, c] = g.tag_preference(tag, beta)
+    return _walk(g, prefs, damping, tol, max_iter)
 
 
 def _related(g: FolkGraph, weights: np.ndarray, base: RankVector, node: int,

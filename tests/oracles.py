@@ -3,6 +3,8 @@
 These recompute results from the raw definitions with different data
 structures and numeric routes (dense numpy instead of sparse, brute-force
 scans instead of inverted indexes), so agreement is meaningful.
+Others are the plain loops that a faster or blocked library path replaced,
+kept as bit-exact references for it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from string import hexdigits
 
 import numpy as np
 
+from folkrel.folkrank import RankVector
 from folkrel.wndb import HYPERNYM_SYMBOLS, POS_CHARS, SS_TYPES, WndbFormatError
 from folkrel.wordnet import DOWN, ROOT, UP, TaxonomyStructureError, TaxPath
 
@@ -73,6 +76,28 @@ def dense_rank(f, damping, preference=None, tol=1e-13, max_iter=100000):
             break
         w = w_next
     return {label: w[i] for i, label in enumerate(labels)}
+
+
+def power_rank(g, damping=0.7, preference=None, tol=1e-8, max_iter=200):
+    """One-vector FolkRank power iteration on the library's own graph.
+
+    The plain loop over a 1-D preference, step for step the arithmetic of
+    ``folkrank.rank``, so its RankVector must match ``rank`` and every
+    column of ``rank_tags`` bit for bit.  The preference is not validated.
+    """
+    p = g.uniform_preference() if preference is None else np.asarray(preference, dtype=np.float64)
+    transition = g._transition
+    teleport = (1.0 - damping) * p
+    w = p.copy()
+    residual = float("inf")
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        w_next = damping * (transition @ w) + teleport
+        residual = float(np.abs(w_next - w).sum())
+        w = w_next
+        if residual <= tol:
+            return RankVector(w, True, iterations, residual)
+    return RankVector(w, False, iterations, residual)
 
 
 def cooccurrence_counts(f):

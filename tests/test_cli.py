@@ -194,6 +194,7 @@ def test_relate_without_index_or_posts(tmp_path, capsys):
     ("--max-iter", "0"),
     ("-k", "0"),
     ("--top-tags", "0"),
+    ("--tol", "nan"),
 ])
 def test_relate_rejects_bad_parameters(posts, capsys, flags):
     code, _, stderr = run(capsys, "relate", "--posts", str(posts),

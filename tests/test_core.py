@@ -62,6 +62,11 @@ def test_tag_normalization_nfc_and_case():
     assert normalize_tag("Café") == "café"
 
 
+def test_tag_whitespace_is_kept():
+    f = parse_posts(io.BytesIO(b"u1\tr1\t Web ,ajax\nu2\tr2\tweb\n"))
+    assert sorted(f.tags) == [" web ", "ajax", "web"]
+
+
 def test_tag_id_unknown_raises():
     f = parse_posts(io.BytesIO(F1_TEXT))
     with pytest.raises(UnknownTagError) as err:

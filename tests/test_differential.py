@@ -1,7 +1,7 @@
 """Differential tests: the CSR co-occurrence graph, the numpy FolkRank
-selection, the multi-column FolkRank walk, the array-built WNdb taxonomy
-and the bidirectional path search against the references in ``oracles``
-(and the block walk against one ``rank`` per tag).
+selection, the FolkRank block walk (``rank`` and every column of
+``rank_tags``), the array-built WNdb taxonomy and the bidirectional path
+search against the references in ``oracles``.
 
 Agreement is exact: the same tags with the same float scores in the same
 order, ties included; the same taxonomy, IC counts to the last bit, and
@@ -79,9 +79,11 @@ def test_folkrank_selection_matches_tuple_sort(posts):
     f = Folksonomy.from_posts(posts)
     g = build_folkgraph(f)
     base = rank(g)
+    ref_base = oracles.power_rank(g)
     for tag in f.tags:
         got = folkrank_relatedness(g, tag, base=base)
-        diff = rank(g, preference=g.tag_preference(tag, 0.5)).weights - base.weights
+        ref = oracles.power_rank(g, preference=g.tag_preference(tag, 0.5))
+        diff = ref.weights - ref_base.weights
         assert pairs(got.items) == oracles.folkrank_order(g, diff, g.tag_node(tag))
 
 
@@ -89,14 +91,49 @@ def test_folkrank_selection_matches_tuple_sort(posts):
 MIRROR = [("u1", "r1", ["a", "b"]), ("u2", "r2", ["c", "d"])]
 
 
-def assert_walks_match_rank(g, tags, vectors, damping=0.7, beta=0.5,
-                            tol=1e-8, max_iter=200):
+def assert_walk_matches_oracle(g, got, preference, damping, tol, max_iter):
+    ref = oracles.power_rank(g, damping, preference, tol, max_iter)
+    assert np.array_equal(got.weights, ref.weights)
+    assert (got.iterations, got.converged, got.residual) == (
+        ref.iterations, ref.converged, ref.residual)
+
+
+def assert_walks_match_oracle(g, tags, vectors, damping=0.7, beta=0.5,
+                              tol=1e-8, max_iter=200):
     assert len(vectors) == len(tags)
     for tag, got in zip(tags, vectors):
-        ref = rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)
-        assert np.array_equal(got.weights, ref.weights)
-        assert (got.iterations, got.converged, got.residual) == (
-            ref.iterations, ref.converged, ref.residual)
+        assert_walk_matches_oracle(g, got, g.tag_preference(tag, beta),
+                                   damping, tol, max_iter)
+
+
+def preference_of(g, kind, seed):
+    """Uniform, a tag preference, or random non-negative mass summing to 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return g.uniform_preference()
+    if kind == "tag":
+        return g.tag_preference(g.tags[rng.integers(len(g.tags))],
+                                rng.choice([0.05, 0.5, 0.95]))
+    mass = rng.random(g.num_nodes)
+    mass[rng.random(g.num_nodes) < 0.3] = 0.0
+    assume(mass.sum() > 0.0)
+    return mass / mass.sum()
+
+
+@CASES
+@given(corpora(), st.sampled_from(["uniform", "tag", "random"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.sampled_from([1, 2, 5, 40, 200]))
+@example(MIRROR, "uniform", 0, 1.0, 3)  # exhausts max_iter
+@example(MIRROR, "tag", 0, 0.0, 200)
+@example(ISOLATED, "random", 1, 0.7, 200)
+def test_rank_matches_power_loop(posts, kind, seed, damping, max_iter):
+    g = build_folkgraph(Folksonomy.from_posts(posts))
+    preference = preference_of(g, kind, seed)
+    given_preference = preference.copy()
+    got = rank(g, damping, preference, 1e-8, max_iter)
+    assert np.array_equal(preference, given_preference)
+    assert_walk_matches_oracle(g, got, preference, damping, 1e-8, max_iter)
 
 
 @CASES
@@ -109,7 +146,7 @@ def test_block_walk_matches_rank_per_column(posts, block, max_iter, damping,
     tags = sorted(g.tags)
     for i in range(0, len(tags), block):
         part = tags[i:i + block]
-        assert_walks_match_rank(
+        assert_walks_match_oracle(
             g, part, rank_tags(g, part, damping, beta, 1e-8, max_iter),
             damping, beta, 1e-8, max_iter)
 
@@ -124,8 +161,8 @@ def seeded_posts(seed, num_posts, num_tags):
 def test_block_walk_freezes_columns_at_their_own_stop():
     g = build_folkgraph(Folksonomy.from_posts(seeded_posts(4, 30, 20)))
     tags = sorted(g.tags)[:QUERY_BLOCK]
-    needed = [rank(g, preference=g.tag_preference(t, 0.5)).iterations
-              for t in tags]
+    needed = [oracles.power_rank(g, preference=g.tag_preference(t, 0.5))
+              .iterations for t in tags]
     # Cut the walk one step short of the slowest column: the rest stop
     # converged earlier in the same block, the slowest ones exhaust it.
     max_iter = max(needed) - 1
@@ -133,7 +170,7 @@ def test_block_walk_freezes_columns_at_their_own_stop():
     vectors = rank_tags(g, tags, max_iter=max_iter)
     assert {v.converged for v in vectors} == {True, False}
     assert len({v.iterations for v in vectors}) > 1
-    assert_walks_match_rank(g, tags, vectors, max_iter=max_iter)
+    assert_walks_match_oracle(g, tags, vectors, max_iter=max_iter)
 
 
 def test_block_walk_of_no_tags_is_empty():
@@ -180,7 +217,8 @@ def raised(fn, *args):
 @pytest.mark.parametrize("damping,beta,tol,max_iter", [
     (-0.1, 0.5, 1e-8, 200), (1.5, 0.5, 1e-8, 200),
     (0.7, 0.0, 1e-8, 200), (0.7, 1.0, 1e-8, 200), (0.7, -0.5, 1e-8, 200),
-    (0.7, 0.5, 0.0, 200), (0.7, 0.5, -1.0, 200), (0.7, 0.5, 1e-8, 0),
+    (0.7, 0.5, 0.0, 200), (0.7, 0.5, -1.0, 200), (0.7, 0.5, float("nan"), 200),
+    (0.7, 0.5, 1e-8, 0),
 ])
 def test_block_walk_rejects_what_rank_rejects(damping, beta, tol, max_iter):
     f = Folksonomy.from_posts(MIRROR)

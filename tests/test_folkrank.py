@@ -125,6 +125,10 @@ def test_preference_validation(f1):
         rank(g, preference=bad)
     with pytest.raises(PreferenceError):
         rank(g, preference=np.full(9, 0.2))  # does not sum to 1
+    nan = np.full(9, 1.0 / 9)
+    nan[0] = np.nan
+    with pytest.raises(PreferenceError):
+        rank(g, preference=nan)
     with pytest.raises(PreferenceError):
         g.tag_preference("web", 1.0)
 
