@@ -8,18 +8,25 @@ header lines start with a space and are skipped.
 
 Every token of a record is validated, but only what taxonomic queries
 read is kept, as columns: offsets, words and (synset, hypernym) offset
-pairs.  Digit fields must be ASCII digits.  The writer emits
-byte-valid files (true byte offsets, trailing double-space line endings)
-and exists so toy fixtures and synthetic corpora ship in the exact format
-the parser consumes.
+pairs.  Digit fields must be ASCII digits.  A file is decoded once; each
+record line is split once and gated by its layout (count fields through
+lookup tables), and per block of lines the offset, target and pointer pos
+columns are checked and converted in bulk.  A file that fails any of this
+is re-walked line by line, and one checker per file kind raises its first
+fault, in field order, with the byte offset of its line.
+
+The writer emits byte-valid files (true byte offsets, trailing
+double-space line endings) and exists so toy fixtures and synthetic
+corpora ship in the exact format the parser consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from pathlib import Path
-from string import hexdigits
-from typing import Iterable
+from string import digits, hexdigits
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -78,20 +85,44 @@ def _truncated(what: str, at: int) -> WndbFormatError:
     return WndbFormatError(f"truncated record: expected {what}", at)
 
 
-def _to_int64(tokens: list[str]) -> np.ndarray:
-    return np.fromiter(map(int, tokens), np.int64, len(tokens))
+class _Counts(dict):
+    """Count field -> value, or -1 if the field is not a valid count.
+
+    Holds every field of the given widths, so one lookup both validates
+    and converts a count; longer fields are checked on a miss.
+    """
+
+    def __init__(self, chars: str, base: int, widths: tuple[int, ...]):
+        forms = ("".join(p) for w in widths for p in product(chars, repeat=w))
+        super().__init__((form, int(form, base)) for form in forms)
+        self.chars, self.base = chars, base
+
+    def __missing__(self, token: str) -> int:
+        if not token.isascii() or token.strip(self.chars):
+            return -1
+        try:
+            return int(token, self.base)
+        except ValueError:  # past int's digit limit: the re-walk raises it
+            return -1
 
 
-def _pointer_error(tokens: list[str], first: int, end: int, at: int) -> WndbFormatError:
-    """The first fault in the pointer fields ``tokens[first:end]``."""
-    stop = min(end, len(tokens))
-    for i in range(first, stop):
-        field = (i - first) % 4
-        if field == 1 and not _is_offset(tokens[i]):
-            return _offset_error(tokens[i], at, "pointer offset")
-        if field == 2 and tokens[i] not in POINTER_POS:
-            return WndbFormatError(f"bad pointer pos {tokens[i]!r}", at)
-    return _truncated(_POINTER_FIELDS[(stop - first) % 4], at)
+_DECIMAL = _Counts(digits, 10, (1, 2, 3))
+_HEX = _Counts(hexdigits, 16, (2,))
+_POINTER_COUNTS = {f"{i:03d}": i for i in range(1000)}  # exactly 3 digits
+_HYPERNYM = frozenset(HYPERNYM_SYMBOLS).__contains__
+_POWERS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
+_BLOCK = 4096  # lines per column block: bounds the token strings held at once
+
+
+def _offset_values(tokens: list[str]) -> np.ndarray | None:
+    """int64 values of 8-ASCII-digit tokens, or None if one is not."""
+    if not tokens:
+        return np.zeros(0, np.int64)
+    joined = "".join(tokens)
+    if set(map(len, tokens)) != {8} or not _digits(joined):
+        return None
+    return (np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 8)
+            - 48) @ _POWERS
 
 
 def _strip_marker(word: str) -> str:
@@ -117,111 +148,194 @@ def _records(data: bytes):
         yield here, line
 
 
-def parse_data(data: bytes, pos: str) -> DataColumns:
-    """Parse a data.<pos> payload into columns, validating every field.
+def _check_data_line(line: str, pos: str, at: int) -> None:
+    """Raise the first fault of a data line, in field order."""
+    head, sep, _gloss = line.partition(" | ")
+    if not sep:
+        raise WndbFormatError("missing gloss separator ' | '", at)
+    t = head.split()
+    n = len(t)
+    if not n:
+        raise _truncated("synset offset", at)
+    if not _is_offset(t[0]):
+        raise _offset_error(t[0], at, "synset offset")
+    if n < 3:
+        raise _truncated(("lex filenum", "ss type")[n - 1], at)
+    if t[2] not in SS_TYPES[pos]:
+        raise WndbFormatError(f"synset type {t[2]!r} not valid in a {pos} file", at)
+    if n < 4:
+        raise _truncated("word count", at)
+    if _HEX[t[3]] < 0:
+        raise WndbFormatError(f"bad word count {t[3]!r}", at)
+    p_at = 4 + 2 * _HEX[t[3]]
+    if p_at == 4:
+        raise WndbFormatError("synset must carry at least one word", at)
+    if n <= p_at:  # words and lex ids alternate from index 4
+        raise _truncated("pointer count" if n == p_at
+                         else ("word", "lex id")[n % 2], at)
+    if t[p_at] not in _POINTER_COUNTS:
+        raise WndbFormatError(f"bad pointer count {t[p_at]!r}", at)
+    end = p_at + 1 + 4 * _POINTER_COUNTS[t[p_at]]
+    stop = min(end, n)
+    for i in range(p_at + 1, stop):
+        field = (i - p_at - 1) % 4
+        if field == 1 and not _is_offset(t[i]):
+            raise _offset_error(t[i], at, "pointer offset")
+        if field == 2 and t[i] not in POINTER_POS:
+            raise WndbFormatError(f"bad pointer pos {t[i]!r}", at)
+    if n < end:
+        raise _truncated(_POINTER_FIELDS[(stop - p_at - 1) % 4], at)
+    if pos == "verb":
+        if n == end:
+            raise _truncated("frame count", at)
+        if not _digits(t[end]):
+            raise WndbFormatError(f"bad frame count {t[end]!r}", at)
+        last = end + 1 + 3 * int(t[end])
+        if n < last:
+            raise _truncated(_FRAME_FIELDS[(n - end - 1) % 3], at)
+        end = last
+    if n > end:
+        raise WndbFormatError(f"unexpected trailing tokens: {t[end:]!r}", at)
 
-    Each line is split once and its fixed layout is checked by position;
-    faults are reported in field order, with the line's byte offset.
-    """
+
+def _check_index_line(line: str, pos: str, at: int) -> None:
+    """Raise the first fault of an index line, in field order."""
+    t = line.split()
+    n = len(t)
+    if n < 7:
+        raise WndbFormatError("truncated index record", at)
+    if t[1] != POS_CHARS[pos]:
+        raise WndbFormatError(
+            f"index pos {t[1]!r} does not match file pos {POS_CHARS[pos]!r}", at)
+    if not (_digits(t[2]) and _digits(t[3])):
+        raise WndbFormatError("bad synset or pointer count", at)
+    synset_cnt = int(t[2])
+    if synset_cnt < 1:
+        raise WndbFormatError("lemma must map to at least one synset", at)
+    first = 6 + int(t[3])  # lemma, pos, 2 counts, pointers, 2 sense counts
+    if n - first != synset_cnt:
+        raise WndbFormatError(f"expected {2 + synset_cnt} trailing fields, "
+                              f"got {max(n - first + 2, 0)}", at)
+    for token in t[first:]:
+        if not _is_offset(token):
+            raise _offset_error(token, at, "index offset")
+
+
+def _first_fault(data: bytes, pos: str, check) -> NoReturn:
+    """Re-walk a payload the fast pass rejected and raise its first fault,
+    with the byte offset of its line."""
+    for at, line in _records(data):
+        check(line, pos, at)
+    raise AssertionError(f"{check.__name__} finds no fault the fast pass saw")
+
+
+def _data_block(lines: list[str], pos: str):
+    """(offsets, words, hypernym child, hypernym parent) of a block of data
+    lines, or None if the fast pass rejects one of them."""
     allowed = SS_TYPES[pos]
     verb = pos == "verb"
     offsets: list[str] = []
     words: list[tuple[str, ...]] = []
-    child: list[str] = []
-    parent: list[str] = []
-    for at, line in _records(data):
+    symbols: list[str] = []
+    targets: list[str] = []
+    target_pos: list[str] = []
+    pointer_counts: list[int] = []
+    for line in lines:
+        if not line or line[0] == " ":
+            continue
         head, sep, _gloss = line.partition(" | ")
-        if not sep:
-            raise WndbFormatError("missing gloss separator ' | '", at)
         t = head.split()
         n = len(t)
-        if not n:
-            raise _truncated("synset offset", at)
-        offset = t[0]
-        if not _is_offset(offset):
-            raise _offset_error(offset, at, "synset offset")
-        if n < 3:
-            raise _truncated(("lex filenum", "ss type")[n - 1], at)
-        if t[2] not in allowed:
-            raise WndbFormatError(
-                f"synset type {t[2]!r} not valid in a {pos} file", at)
-        if n < 4:
-            raise _truncated("word count", at)
-        w_cnt = t[3]
-        if not w_cnt.isascii() or w_cnt.strip(hexdigits):
-            raise WndbFormatError(f"bad word count {w_cnt!r}", at)
-        p_at = 4 + 2 * int(w_cnt, 16)
-        if p_at == 4:
-            raise WndbFormatError("synset must carry at least one word", at)
-        if n <= p_at:  # words and lex ids alternate from index 4
-            raise _truncated("pointer count" if n == p_at
-                             else ("word", "lex id")[n % 2], at)
-        p_cnt = t[p_at]
-        if len(p_cnt) != 3 or not _digits(p_cnt):
-            raise WndbFormatError(f"bad pointer count {p_cnt!r}", at)
-        end = p_at + 1 + 4 * int(p_cnt)
-        targets = t[p_at + 2:end:4]
-        if n < end or not POINTER_POS.issuperset(t[p_at + 3:end:4]) or (
-                targets and not (set(map(len, targets)) == {8}
-                                 and _digits("".join(targets)))):
-            raise _pointer_error(t, p_at + 1, end, at)
+        if not sep or n < 7 or t[2] not in allowed:
+            return None
+        p_at = 4 + 2 * _HEX[t[3]]
+        if p_at < 6 or n <= p_at or t[p_at] not in _POINTER_COUNTS:
+            return None
+        p_cnt = _POINTER_COUNTS[t[p_at]]
+        p_end = end = p_at + 1 + 4 * p_cnt
         if verb:
-            if n == end:
-                raise _truncated("frame count", at)
-            f_cnt = t[end]
-            if not _digits(f_cnt):
-                raise WndbFormatError(f"bad frame count {f_cnt!r}", at)
-            last = end + 1 + 3 * int(f_cnt)
-            if n < last:
-                raise _truncated(_FRAME_FIELDS[(n - end - 1) % 3], at)
-            end = last
-        if n > end:
-            raise WndbFormatError(f"unexpected trailing tokens: {t[end:]!r}", at)
-        offsets.append(offset)
+            f_cnt = _DECIMAL[t[end]] if n > end else -1
+            if f_cnt < 0:
+                return None
+            end += 1 + 3 * f_cnt
+        if n != end:
+            return None
+        offsets.append(t[0])
         lemmas = t[4:p_at:2]
         if ")" in head:
             lemmas = map(_strip_marker, lemmas)
         words.append(tuple(map(str.lower, lemmas)))
-        for symbol, target in zip(t[p_at + 1:end:4], targets):
-            if symbol in HYPERNYM_SYMBOLS:
-                child.append(offset)
-                parent.append(target)
-    return DataColumns(_to_int64(offsets), words, _to_int64(child),
-                       _to_int64(parent))
+        if p_cnt:
+            symbols += t[p_at + 1:p_end:4]
+            targets += t[p_at + 2:p_end:4]
+            target_pos += t[p_at + 3:p_end:4]
+        pointer_counts.append(p_cnt)
+    synsets = _offset_values(offsets)
+    parents = _offset_values(targets)
+    if synsets is None or parents is None or not POINTER_POS.issuperset(target_pos):
+        return None
+    hypernym = np.fromiter(map(_HYPERNYM, symbols), bool, len(symbols))
+    return (synsets, words, np.repeat(synsets, pointer_counts)[hypernym],
+            parents[hypernym])
 
 
-def parse_index(data: bytes, pos: str) -> IndexColumns:
-    """Parse an index.<pos> payload into (lemma, synset offsets) columns."""
+def _index_block(lines: list[str], pos: str):
+    """(lemmas, synset counts, offsets) of a block of index lines, or None
+    if the fast pass rejects one of them."""
     pos_char = POS_CHARS[pos]
     lemmas: list[str] = []
     counts: list[int] = []
     offsets: list[str] = []
-    for at, line in _records(data):
+    for line in lines:
+        if not line or line[0] == " ":
+            continue
         t = line.split()
-        n = len(t)
-        if n < 7:
-            raise WndbFormatError("truncated index record", at)
-        if t[1] != pos_char:
-            raise WndbFormatError(
-                f"index pos {t[1]!r} does not match file pos {pos_char!r}", at)
-        if not (_digits(t[2]) and _digits(t[3])):
-            raise WndbFormatError("bad synset or pointer count", at)
-        synset_cnt = int(t[2])
-        if synset_cnt < 1:
-            raise WndbFormatError("lemma must map to at least one synset", at)
-        first = 6 + int(t[3])  # lemma, pos, 2 counts, pointers, 2 sense counts
-        if n - first != synset_cnt:
-            raise WndbFormatError(f"expected {2 + synset_cnt} trailing fields, "
-                                  f"got {max(n - first + 2, 0)}", at)
-        synsets = t[first:]
-        if not (set(map(len, synsets)) == {8} and _digits("".join(synsets))):
-            bad = next(tok for tok in synsets if not _is_offset(tok))
-            raise _offset_error(bad, at, "index offset")
+        if len(t) < 7 or t[1] != pos_char:
+            return None
+        synset_cnt = _DECIMAL[t[2]]
+        first = 6 + _DECIMAL[t[3]]  # lemma, pos, 2 counts, pointers, 2 sense counts
+        if synset_cnt < 1 or first < 6 or len(t) - first != synset_cnt:
+            return None
         lemmas.append(t[0].lower())
         counts.append(synset_cnt)
-        offsets += synsets
-    return IndexColumns(lemmas, np.array(counts, dtype=np.int64),
-                        _to_int64(offsets))
+        offsets += t[first:]
+    synsets = _offset_values(offsets)
+    if synsets is None:
+        return None
+    return lemmas, np.array(counts, dtype=np.int64), synsets
+
+
+def _columns(data: bytes, pos: str, block, check) -> list[tuple]:
+    """``block`` of every ``_BLOCK`` lines of a payload; if a block or the
+    decode is rejected, ``check`` names the first fault."""
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        _first_fault(data, pos, check)
+    blocks = []
+    for start in range(0, len(lines), _BLOCK):
+        columns = block(lines[start:start + _BLOCK], pos)
+        if columns is None:
+            _first_fault(data, pos, check)
+        blocks.append(columns)
+    return blocks
+
+
+def parse_data(data: bytes, pos: str) -> DataColumns:
+    """Parse a data.<pos> payload into columns, validating every field."""
+    offsets, words, child, parent = zip(*_columns(data, pos, _data_block,
+                                                  _check_data_line))
+    return DataColumns(np.concatenate(offsets), list(chain.from_iterable(words)),
+                       np.concatenate(child), np.concatenate(parent))
+
+
+def parse_index(data: bytes, pos: str) -> IndexColumns:
+    """Parse an index.<pos> payload into (lemma, synset offsets) columns,
+    validating every field."""
+    lemmas, counts, offsets = zip(*_columns(data, pos, _index_block,
+                                            _check_index_line))
+    return IndexColumns(list(chain.from_iterable(lemmas)), np.concatenate(counts),
+                        np.concatenate(offsets))
 
 
 def read_database(index_path, data_path, pos: str) -> tuple[IndexColumns, DataColumns]:

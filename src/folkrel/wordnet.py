@@ -347,15 +347,22 @@ def load_wordnet_dir(directory, required: Sequence[str] = ("noun",)) -> dict[str
     """Load every part of speech present in a WNdb directory.
 
     Parts of speech listed in ``required`` must be present; the rest are
-    loaded only when both of their files exist.
+    loaded when their files exist.  A lone ``index.<pos>`` or
+    ``data.<pos>`` raises ``FileNotFoundError`` naming its missing partner.
     """
     directory = Path(directory)
     taxonomies: dict[str, Taxonomy] = {}
     for pos in POS_ORDER:
         index_path = directory / f"index.{pos}"
         data_path = directory / f"data.{pos}"
-        if index_path.exists() and data_path.exists():
+        has_index, has_data = index_path.exists(), data_path.exists()
+        if has_index and has_data:
             taxonomies[pos] = load_taxonomy(index_path, data_path, pos)
+        elif has_index or has_data:
+            missing, present = ((data_path, index_path) if has_index
+                                else (index_path, data_path))
+            raise FileNotFoundError(
+                f"missing {missing.name} next to {present.name} in {directory}")
         elif pos in required:
             raise FileNotFoundError(
                 f"missing {index_path.name} or {data_path.name} in {directory}")

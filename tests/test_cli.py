@@ -266,6 +266,21 @@ def test_ground_missing_wordnet_dir_exits_1(ground_posts, tmp_path, capsys):
     assert "not found" in stderr
 
 
+def test_ground_half_copied_verb_database_exits_1(ground_posts, tmp_path, capsys):
+    wordnet = tmp_path / "wordnet"
+    wordnet.mkdir()
+    for source in WNDB_DIR.iterdir():
+        (wordnet / source.name).write_bytes(source.read_bytes())
+    write_database([SynsetSpec("move", ("move",))], "verb", wordnet)
+    (wordnet / "data.verb").unlink()
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(wordnet),
+                          "--out", str(tmp_path / "report"))
+    assert code == 1
+    assert "missing data.verb next to index.verb" in stderr
+    assert not (tmp_path / "report").exists()
+
+
 def test_ground_with_ic_counts_file(ground_posts, tmp_path, capsys):
     ic_path = tmp_path / "counts.tsv"
     ic_path.write_bytes(b"#ic-counts:lemma\ndog\t1\ncat\t1\ncar\t2\n")

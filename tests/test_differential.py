@@ -11,6 +11,7 @@ path, composition and end synsets.
 
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -24,7 +25,8 @@ from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
 from folkrel.folkrank import (PreferenceError, build_folkgraph,
                               folkrank_relatedness, rank, rank_tags)
 from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
-from folkrel.wndb import WndbFormatError, parse_data, parse_index, render_database
+from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
+                          render_database)
 from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
                              _smallest_label, ic_from_counts, shortest_path)
 
@@ -542,6 +544,127 @@ def test_single_token_mutations_fail_like_the_oracle(specs, pos, which, data):
         assert "cycle" in want[1]
     else:
         assert got == want
+
+
+# Inputs the writer never emits: runs of whitespace that ``str.split``
+# takes but a byte split would not, CRLF line ends, non-ASCII lemmas that
+# shift the byte offsets of later lines, and invalid UTF-8 before or after
+# a faulty line.
+WHITESPACE = [" ", "\t", "  ", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]
+NON_ASCII = ["café", "naïve", "straße", "日本", "ǆem", "ﬁne", "á"]
+BAD_UTF8 = [b"\xff", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80", b"\xc0\xaf"]
+PARSERS = {"data": (lambda b, p: data_records(parse_data(b, p)),
+                    oracles.parse_data_records),
+           "index": (lambda b, p: index_records(parse_index(b, p)),
+                     oracles.parse_index_records)}
+
+
+@st.composite
+def unusual_payloads(draw):
+    """(file kind, pos, payload) of one rendered file, rewritten line by
+    line and sometimes given a token fault and a line of invalid UTF-8."""
+    pos = draw(st.sampled_from(["noun", "verb", "adj"]))
+    which = draw(st.sampled_from(["data", "index"]))
+    files = dict(zip(("index", "data"), render_database(draw(synset_specs()), pos)))
+    rows = files[which].split(b"\n")
+    records = [i for i, row in enumerate(rows) if row and not row.startswith(b" ")]
+    fault, bad = (draw(st.one_of(st.none(), st.sampled_from(records)))
+                  for _ in range(2))
+    for i in records:
+        head, sep, tail = rows[i].decode().partition(" | ")
+        tokens = head.split()
+        if draw(st.booleans()):
+            tokens[4 if which == "data" else 0] = draw(st.sampled_from(NON_ASCII))
+        if i == fault:
+            spot = draw(st.integers(0, len(tokens) - 1))
+            token = draw(st.sampled_from(TOKENS))
+            edit = draw(st.sampled_from(["drop", "replace", "append"]))
+            if edit == "drop":
+                del tokens[spot]
+            elif edit == "replace":
+                tokens[spot] = token
+            else:
+                tokens.append(token)
+        gaps = draw(st.lists(st.sampled_from(WHITESPACE), min_size=len(tokens),
+                             max_size=len(tokens)))
+        line = "".join(t + gap for t, gap in zip(tokens, gaps)) + sep + tail
+        if draw(st.booleans()):
+            line += "\r"
+        rows[i] = line.encode()
+        if i == bad:
+            cut = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:cut] + draw(st.sampled_from(BAD_UTF8)) + rows[i][cut:]
+    return which, pos, b"\n".join(rows)
+
+
+@CASES
+@given(unusual_payloads())
+# A non-ASCII lemma ahead of a fault, and invalid UTF-8 after and before
+# another fault.
+@example(("data", "noun", "00000000 03 n 01 café 0 000 | g\n"
+                          "00000042 03 n 01 w 0 001 @ 0000001x n 0000 | g\n"
+                          .encode() + b"00000091 03 n 01 \xff 0 000 | g\n"))
+@example(("index", "verb", b"w\xc3 v 1 0 1 0 00000001\n"
+                           b"caf\xc3\xa9 v 1 0 1 0 0000001\n"))
+@example(("data", "verb", "00000000\t03\x85v 01 w\x0b0 000 00 | g\r\n"
+                          "00000001 03 v 01 w 0 000 | g\r\n".encode()))
+def test_unusual_payloads_parse_like_the_oracle(case):
+    which, pos, payload = case
+    fast, oracle = PARSERS[which]
+    assert outcome(fast, payload, pos) == outcome(oracle, payload, pos)
+
+
+def large_database(pos, n, rng):
+    """A rendered (index, data) pair of ``n`` synsets with fields the
+    writer leaves out: "@i" pointers and, for verbs, frames."""
+    def word():
+        return "".join(rng.choice("bdgklmnprstvaeiou") for _ in range(rng.randint(3, 7)))
+    specs = []
+    for i in range(n):
+        lemmas = [word() for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+        if pos == "adj" and rng.random() < 0.2:
+            lemmas[0] += rng.choice(("(p)", "(a)", "(ip)"))
+        if rng.random() < 0.05:
+            lemmas[-1] = rng.choice(NON_ASCII)
+        parents = rng.sample(range(i), min(i, rng.choice((1, 1, 1, 1, 2))))
+        specs.append(SynsetSpec(f"s{i}", tuple(lemmas),
+                                tuple(f"s{p}" for p in parents)))
+    index_bytes, data_bytes = render_database(specs, pos)
+    rows = data_bytes.decode().split("\n")
+    for i, row in enumerate(rows):
+        if not row or row.startswith(" "):
+            continue
+        head, sep, tail = row.partition(" | ")
+        tokens = head.split()
+        if rng.random() < 0.1:  # instance hypernyms
+            tokens = ["@i" if t == "@" else t for t in tokens]
+        if pos == "verb":
+            frames = rng.randint(0, 3)
+            tokens[-1] = f"{frames:02d}"
+            for _ in range(frames):
+                tokens += ["+", f"{rng.randint(1, 35):02d}", f"{rng.randint(0, 3):02x}"]
+        rows[i] = " ".join(tokens) + sep + tail
+    return index_bytes, "\n".join(rows).encode()
+
+
+@pytest.mark.parametrize("pos,n", [("noun", 12000), ("verb", 5000), ("adj", 3000)])
+def test_large_database_parses_like_the_oracle(pos, n):
+    index_bytes, data_bytes = large_database(pos, n, random.Random(f"wndb:{pos}"))
+    data = parse_data(data_bytes, pos)
+    assert len(data.offsets) == n
+    assert data_records(data) == oracles.parse_data_records(data_bytes, pos)
+    assert index_records(parse_index(index_bytes, pos)) == \
+        oracles.parse_index_records(index_bytes, pos)
+    assert b" @i " in data_bytes
+    assert (b"(p) " in data_bytes) == (pos == "adj")
+    assert (b" + " in data_bytes) == (pos == "verb")
+    # A fault in the last record, after blocks of lines were accepted.
+    at = data_bytes.rindex(b"\n", 0, len(data_bytes) - 1) + 1
+    broken = data_bytes[:at + 12] + b"x" + data_bytes[at + 13:]
+    want = outcome(oracles.parse_data_records, broken, pos)
+    assert want == (WndbFormatError,
+                    f"byte {at}: synset type 'x' not valid in a {pos} file")
+    assert outcome(parse_data, broken, pos) == want
 
 
 # -- shortest taxonomy paths against the one-sided labelled BFS ----------

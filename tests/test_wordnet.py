@@ -230,6 +230,17 @@ def test_load_wordnet_dir_requires_noun(tmp_path):
     assert loaded["verb"].has_lemma("go")
 
 
+@pytest.mark.parametrize("lone,missing", [("index.verb", "data.verb"),
+                                          ("data.verb", "index.verb")])
+def test_load_wordnet_dir_rejects_a_lone_optional_file(tmp_path, lone, missing):
+    write_database(T1_SPECS, "noun", tmp_path)
+    write_database([SynsetSpec("run", ("run", "go"))], "verb", tmp_path)
+    (tmp_path / missing).unlink()
+    with pytest.raises(FileNotFoundError,
+                       match=f"missing {missing} next to {lone}"):
+        load_wordnet_dir(tmp_path)
+
+
 # -- shortest paths ------------------------------------------------------
 
 def test_path_dog_cat(t1):
