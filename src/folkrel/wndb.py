@@ -8,12 +8,14 @@ header lines start with a space and are skipped.
 
 Every token of a record is validated, but only what taxonomic queries
 read is kept, as columns: offsets, words and (synset, hypernym) offset
-pairs.  Digit fields must be ASCII digits.  A file is decoded once; each
-record line is split once and gated by its layout (count fields through
-lookup tables), and per block of lines the offset, target and pointer pos
-columns are checked and converted in bulk.  A file that fails any of this
-is re-walked line by line, and one checker per file kind raises its first
-fault, in field order, with the byte offset of its line.
+pairs.  Digit fields must be ASCII digits.  A file is decoded once (line
+by line if it does not decode as a whole, as header lines are skipped
+undecoded); each record line is split once and gated by its layout (count
+fields through lookup tables), and per block of lines the offset, target
+and pointer pos columns are checked and converted in bulk.  A file that
+fails any of this is re-walked line by line, and one checker per file
+kind raises its first fault, in field order, with the byte offset of its
+line.
 
 The writer emits byte-valid files (true byte offsets, trailing
 double-space line endings) and exists so toy fixtures and synthetic
@@ -307,11 +309,14 @@ def _index_block(lines: list[str], pos: str):
 
 def _columns(data: bytes, pos: str, block, check) -> list[tuple]:
     """``block`` of every ``_BLOCK`` lines of a payload; if a block or the
-    decode is rejected, ``check`` names the first fault."""
+    decode of a record line is rejected, ``check`` names the first fault."""
     try:
         lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        _first_fault(data, pos, check)
+    except UnicodeDecodeError:  # maybe only in header lines, which are skipped
+        try:
+            lines = [line for _, line in _records(data)]
+        except WndbFormatError:  # a record line: a fault before it comes first
+            _first_fault(data, pos, check)
     blocks = []
     for start in range(0, len(lines), _BLOCK):
         columns = block(lines[start:start + _BLOCK], pos)

@@ -549,7 +549,7 @@ def test_single_token_mutations_fail_like_the_oracle(specs, pos, which, data):
 # Inputs the writer never emits: runs of whitespace that ``str.split``
 # takes but a byte split would not, CRLF line ends, non-ASCII lemmas that
 # shift the byte offsets of later lines, and invalid UTF-8 before or after
-# a faulty line.
+# a faulty line or in a header line, which is skipped undecoded.
 WHITESPACE = [" ", "\t", "  ", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]
 NON_ASCII = ["café", "naïve", "straße", "日本", "ǆem", "ﬁne", "á"]
 BAD_UTF8 = [b"\xff", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80", b"\xc0\xaf"]
@@ -568,8 +568,9 @@ def unusual_payloads(draw):
     files = dict(zip(("index", "data"), render_database(draw(synset_specs()), pos)))
     rows = files[which].split(b"\n")
     records = [i for i, row in enumerate(rows) if row and not row.startswith(b" ")]
-    fault, bad = (draw(st.one_of(st.none(), st.sampled_from(records)))
-                  for _ in range(2))
+    fault = draw(st.one_of(st.none(), st.sampled_from(records)))
+    bad = draw(st.one_of(st.none(), st.sampled_from([i for i, row in enumerate(rows)
+                                                     if row])))
     for i in records:
         head, sep, tail = rows[i].decode().partition(" | ")
         tokens = head.split()
@@ -591,9 +592,9 @@ def unusual_payloads(draw):
         if draw(st.booleans()):
             line += "\r"
         rows[i] = line.encode()
-        if i == bad:
-            cut = draw(st.integers(0, len(rows[i])))
-            rows[i] = rows[i][:cut] + draw(st.sampled_from(BAD_UTF8)) + rows[i][cut:]
+    if bad is not None:  # a header line keeps its leading space
+        cut = draw(st.integers(int(bad not in records), len(rows[bad])))
+        rows[bad] = rows[bad][:cut] + draw(st.sampled_from(BAD_UTF8)) + rows[bad][cut:]
     return which, pos, b"\n".join(rows)
 
 
@@ -608,6 +609,9 @@ def unusual_payloads(draw):
                            b"caf\xc3\xa9 v 1 0 1 0 0000001\n"))
 @example(("data", "verb", "00000000\t03\x85v 01 w\x0b0 000 00 | g\r\n"
                           "00000001 03 v 01 w 0 000 | g\r\n".encode()))
+# Invalid UTF-8 only in a header line, ahead of valid records.
+@example(("data", "noun", b" \xa9 header\n00000000 03 n 01 w 0 000 | g\n"))
+@example(("index", "noun", b" \xa9 header\nw n 1 0 1 0 00000000\n"))
 def test_unusual_payloads_parse_like_the_oracle(case):
     which, pos, payload = case
     fast, oracle = PARSERS[which]
