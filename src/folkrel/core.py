@@ -8,16 +8,21 @@ a UTF-8 text file with one post per line::
     user<TAB>resource<TAB>tag1,tag2,...
 
 Lines starting with ``#`` are comments.  Identifiers are interned to dense
-integer indices at construction time; everything downstream operates on
-indices and only converts back to strings at the boundary.  Instances are
-immutable after construction and safe for concurrent reads.
+ids in order of first appearance, and the corpus is held only as arrays
+that everything downstream reads; strings return only at the boundary.
+Instances are immutable (their arrays are read-only) and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator
+
+import numpy as np
+from scipy import sparse
 
 
 class PostsParseError(ValueError):
@@ -44,29 +49,31 @@ def normalize_tag(tag: str) -> str:
 class Folksonomy:
     """Immutable interned folksonomy.
 
-    ``users``, ``tags`` and ``resources`` map dense indices to identifier
-    strings; ``posts`` maps ``(user_id, resource_id)`` to a frozen tag-id
-    set.  The assignment set Y is implied: one triple per (post, tag).
+    ``users``, ``tags`` and ``resources`` map dense ids to strings.  Post i
+    is user ``post_users[i]``'s tag set on resource ``post_resources[i]``,
+    row i of the post×tag 0/1 CSR ``incidence``; each of its entries is one
+    assignment (user, tag, resource).
     """
 
-    __slots__ = ("users", "tags", "resources", "posts",
-                 "_user_ids", "_tag_ids", "_resource_ids", "_y_size")
+    __slots__ = ("users", "tags", "resources", "post_users", "post_resources",
+                 "incidence", "_tag_ids")
 
-    def __init__(
-        self,
-        users: tuple[str, ...],
-        tags: tuple[str, ...],
-        resources: tuple[str, ...],
-        posts: dict[tuple[int, int], frozenset[int]],
-    ):
+    def __init__(self, users: tuple[str, ...], tags: tuple[str, ...],
+                 resources: tuple[str, ...], post_users: np.ndarray,
+                 post_resources: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray):
         self.users = users
         self.tags = tags
         self.resources = resources
-        self.posts = posts
-        self._user_ids = {u: i for i, u in enumerate(users)}
+        self.post_users = post_users
+        self.post_resources = post_resources
+        self.incidence = sparse.csr_matrix(
+            (np.ones(len(indices), dtype=np.int64), indices, indptr),
+            shape=(len(post_users), len(tags)))
+        for array in (post_users, post_resources, self.incidence.indptr,
+                      self.incidence.indices, self.incidence.data):
+            array.flags.writeable = False
         self._tag_ids = {t: i for i, t in enumerate(tags)}
-        self._resource_ids = {r: i for i, r in enumerate(resources)}
-        self._y_size = sum(len(ts) for ts in posts.values())
 
     @classmethod
     def from_posts(cls, records: Iterable[tuple[str, str, Iterable[str]]]) -> "Folksonomy":
@@ -74,35 +81,34 @@ class Folksonomy:
 
         Repeated (user, resource) records merge their tag-sets; duplicate
         triples collapse.  Tags are normalized, users/resources taken as-is.
+        Ids are first-seen; posts are numbered by their first record.
         """
-        users: list[str] = []
-        tags: list[str] = []
-        resources: list[str] = []
         user_ids: dict[str, int] = {}
-        tag_ids: dict[str, int] = {}
         resource_ids: dict[str, int] = {}
-        raw_posts: dict[tuple[int, int], set[int]] = {}
+        tag_ids: dict[str, int] = {}
+        raw_ids: dict[str, int] = {}  # normalize_tag is pure: once per raw tag
+        rows: dict[tuple[int, int], tuple[int, ...]] = {}  # tag ids, repeats kept
+        for user, resource, raw_tags in records:
+            raw_tags = tuple(raw_tags)
+            tids = tuple(map(raw_ids.get, raw_tags))
+            if None in tids:
+                tids = tuple(raw_ids.setdefault(raw, tag_ids.setdefault(
+                    normalize_tag(raw), len(tag_ids))) for raw in raw_tags)
+            key = (user_ids.setdefault(user, len(user_ids)),
+                   resource_ids.setdefault(resource, len(resource_ids)))
+            rows[key] = rows.get(key, ()) + tids
 
-        for user, resource, tag_iter in records:
-            uid = user_ids.get(user)
-            if uid is None:
-                uid = user_ids[user] = len(users)
-                users.append(user)
-            rid = resource_ids.get(resource)
-            if rid is None:
-                rid = resource_ids[resource] = len(resources)
-                resources.append(resource)
-            tids = raw_posts.setdefault((uid, rid), set())
-            for tag in tag_iter:
-                tag = normalize_tag(tag)
-                tid = tag_ids.get(tag)
-                if tid is None:
-                    tid = tag_ids[tag] = len(tags)
-                    tags.append(tag)
-                tids.add(tid)
-
-        posts = {key: frozenset(tids) for key, tids in raw_posts.items()}
-        return cls(tuple(users), tuple(tags), tuple(resources), posts)
+        # Rows list tags in frozenset(set(ids)) order, as posts once held
+        # them: restriction numbers tags by first appearance in the rows and
+        # FolkRank sums in node-id order, so this order fixes its last bits.
+        indptr = np.cumsum([0, *map(len, map(set, rows.values()))], dtype=np.int64)
+        indices = np.fromiter(
+            chain.from_iterable(map(frozenset, map(set, rows.values()))),
+            np.int64, int(indptr[-1]))
+        post_users, post_resources = np.array(
+            list(rows), dtype=np.int64).reshape(-1, 2).T.copy()
+        return cls(tuple(user_ids), tuple(tag_ids), tuple(resource_ids),
+                   post_users, post_resources, indptr, indices)
 
     # -- sizes ----------------------------------------------------------
 
@@ -119,8 +125,12 @@ class Folksonomy:
         return len(self.resources)
 
     @property
+    def num_posts(self) -> int:
+        return len(self.post_users)
+
+    @property
     def num_assignments(self) -> int:
-        return self._y_size
+        return len(self.incidence.indices)
 
     # -- lookups --------------------------------------------------------
 
@@ -133,19 +143,18 @@ class Folksonomy:
     def has_tag(self, tag: str) -> bool:
         return normalize_tag(tag) in self._tag_ids
 
-    def user_id(self, user: str) -> int:
-        return self._user_ids[user]
-
-    def resource_id(self, resource: str) -> int:
-        return self._resource_ids[resource]
+    def _records(self) -> Iterator[tuple[str, str, list[str]]]:
+        """(user, resource, tags in row order) of every post, in post order."""
+        ptr, tids = self.incidence.indptr.tolist(), self.incidence.indices.tolist()
+        for i, (u, r) in enumerate(zip(self.post_users.tolist(),
+                                       self.post_resources.tolist())):
+            yield (self.users[u], self.resources[r],
+                   [self.tags[t] for t in tids[ptr[i]:ptr[i + 1]]])
 
     # -- equality (semantic, index-order independent) --------------------
 
     def _canonical(self) -> frozenset[tuple[str, str, frozenset[str]]]:
-        return frozenset(
-            (self.users[u], self.resources[r], frozenset(self.tags[t] for t in ts))
-            for (u, r), ts in self.posts.items()
-        )
+        return frozenset((u, r, frozenset(ts)) for u, r, ts in self._records())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Folksonomy):
@@ -175,10 +184,7 @@ def parse_posts(stream: IO[bytes] | Iterable[bytes]) -> Folksonomy:
 
     def records() -> Iterator[tuple[str, str, list[str]]]:
         for lineno, raw in enumerate(stream, start=1):
-            if raw.endswith(b"\n"):
-                raw = raw[:-1]
-            if raw.endswith(b"\r"):
-                raw = raw[:-1]
+            raw = raw.removesuffix(b"\n").removesuffix(b"\r")
             if not raw or raw.startswith(b"#"):
                 continue
             try:
@@ -193,7 +199,7 @@ def parse_posts(stream: IO[bytes] | Iterable[bytes]) -> Folksonomy:
             if not user or not resource:
                 raise PostsParseError("empty user or resource field", lineno)
             tags = tag_field.split(",")
-            if any(not t for t in tags):
+            if "" in tags:
                 raise PostsParseError("empty tag token", lineno)
             yield user, resource, tags
 
@@ -207,40 +213,45 @@ def load_posts(path) -> Folksonomy:
 
 def serialize_posts(f: Folksonomy) -> str:
     """Canonical text form: posts sorted by (user, resource), tags sorted."""
-    lines = []
-    for (uid, rid), tids in f.posts.items():
-        lines.append((f.users[uid], f.resources[rid],
-                      ",".join(sorted(f.tags[t] for t in tids))))
-    lines.sort()
+    lines = sorted((user, resource, ",".join(sorted(tags)))
+                   for user, resource, tags in f._records())
     return "".join(f"{u}\t{r}\t{t}\n" for u, r, t in lines)
 
 
 def tag_stats(f: Folksonomy) -> list[TagStats]:
     """Per-tag post counts, descending; ties broken lexicographically."""
-    counts = [0] * f.num_tags
-    for tids in f.posts.values():
-        for tid in tids:
-            counts[tid] += 1
+    counts = np.bincount(f.incidence.indices, minlength=f.num_tags).tolist()
     order = sorted(range(f.num_tags), key=lambda tid: (-counts[tid], f.tags[tid]))
     return [TagStats(tag=f.tags[tid], frequency=counts[tid], rank=pos + 1)
             for pos, tid in enumerate(order)]
+
+
+def _first_seen(ids: np.ndarray, names: tuple[str, ...]) -> tuple[tuple, np.ndarray]:
+    """(names of ``ids`` in order of first appearance, ``ids`` renumbered so)."""
+    present, first = np.unique(ids, return_index=True)
+    present = present[np.argsort(first)]
+    new_ids = np.zeros(len(names), dtype=np.int64)
+    new_ids[present] = np.arange(len(present))
+    return tuple(names[i] for i in present.tolist()), new_ids[ids]
 
 
 def restrict_to_top_tags(f: Folksonomy, k: int) -> Folksonomy:
     """Keep only the k most frequent tags and the users/resources they induce.
 
     Posts drop tags outside the top k; posts left with no tags are removed.
-    Idempotent for fixed k; k >= |T| returns an equal folksonomy.
+    Ids are renumbered by first appearance in the kept rows, as a re-parse
+    of the kept posts would.  Rows keep their surviving tags in parsed
+    order, so a second cut may number tags unlike a cut of a re-parse, with
+    the same graphs.  Idempotent for fixed k; k >= |T| returns an equal one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    stats = tag_stats(f)
-    keep = {s.tag for s in stats[:k]}
-
-    def records() -> Iterator[tuple[str, str, list[str]]]:
-        for (uid, rid), tids in f.posts.items():
-            tags = [f.tags[t] for t in tids if f.tags[t] in keep]
-            if tags:
-                yield f.users[uid], f.resources[rid], tags
-
-    return Folksonomy.from_posts(records())
+    top = {s.tag for s in tag_stats(f)[:k]}
+    mask = np.array([t in top for t in f.tags], dtype=bool)[f.incidence.indices]
+    rows = np.repeat(np.arange(f.num_posts), np.diff(f.incidence.indptr))[mask]
+    alive, sizes = np.unique(rows, return_counts=True)
+    users, post_users = _first_seen(f.post_users[alive], f.users)
+    resources, post_resources = _first_seen(f.post_resources[alive], f.resources)
+    tags, indices = _first_seen(f.incidence.indices[mask], f.tags)
+    return Folksonomy(users, tags, resources, post_users, post_resources,
+                      np.concatenate(([0], np.cumsum(sizes))), indices)

@@ -2,8 +2,8 @@
 
 Two tags co-occur when some post contains both; the edge weight is the
 number of such posts.  The graph is one symmetric int64 CSR matrix X over
-tags, built as Bᵀ·B from the post×tag 0/1 incidence matrix B with the
-diagonal dropped and the column indices of every row sorted.  Each row of
+tags, built as Bᵀ·B from the corpus's post×tag 0/1 incidence matrix B with
+the diagonal dropped and the column indices of every row sorted.  Each row of
 X doubles as the tag's context vector (with a zero self-coordinate), so
 cosine similarity between tags is the normalized dot product of their
 rows.  Dot products are exact int64 sums (they stay below 2**63 while no
@@ -109,22 +109,9 @@ class CoGraph:
         return self.matrix.nnz // 2
 
 
-def post_tag_incidence(f: Folksonomy) -> sparse.csr_matrix:
-    """Post×tag 0/1 int64 matrix, one row per post in ``f.posts`` order."""
-    posts = list(f.posts.values())
-    indptr = np.zeros(len(posts) + 1, dtype=np.int64)
-    np.cumsum([len(tids) for tids in posts], out=indptr[1:])
-    indices = np.fromiter((t for tids in posts for t in tids),
-                          dtype=np.int64, count=int(indptr[-1]))
-    return sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int64), indices, indptr),
-        shape=(len(posts), f.num_tags))
-
-
 def build_cooccurrence(f: Folksonomy) -> CoGraph:
     """Count, for every unordered tag pair, the posts containing both."""
-    incidence = post_tag_incidence(f)
-    counts = incidence.T @ incidence
+    counts = f.incidence.T @ f.incidence
     matrix = (counts - sparse.diags(counts.diagonal(), dtype=np.int64)).tocsr()
     matrix.eliminate_zeros()
     matrix.sort_indices()

@@ -33,8 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import Folksonomy, UnknownTagError, normalize_tag
-from .distributional import (RelatedList, RelatedTag, _ranked,
-                             post_tag_incidence, string_rank)
+from .distributional import RelatedList, RelatedTag, _ranked, string_rank
 
 KIND_USER = "user"
 KIND_TAG = "tag"
@@ -141,18 +140,16 @@ def build_folkgraph(f: Folksonomy) -> FolkGraph:
     if f.num_assignments == 0:
         raise ValueError("cannot build a graph from an empty folksonomy")
 
-    incidence = post_tag_incidence(f)
-    sizes = np.diff(incidence.indptr)
-    uid, rid = np.array(list(f.posts), dtype=np.int64).reshape(-1, 2).T
+    sizes = np.diff(f.incidence.indptr)
+    uid, rid, tids = f.post_users, f.post_resources, f.incidence.indices
     t_off = f.num_users
     r_off = f.num_users + f.num_tags
     n = r_off + f.num_resources
     # One unit per triple on the u-t and t-r edges, post size on u-r;
     # repeated pairs are summed by the COO to CSR conversion.
-    src = np.concatenate([uid.repeat(sizes), t_off + incidence.indices, uid])
-    dst = np.concatenate([t_off + incidence.indices, r_off + rid.repeat(sizes),
-                          r_off + rid])
-    w = np.concatenate([np.ones(2 * incidence.nnz), sizes])
+    src = np.concatenate([uid.repeat(sizes), t_off + tids, uid])
+    dst = np.concatenate([t_off + tids, r_off + rid.repeat(sizes), r_off + rid])
+    w = np.concatenate([np.ones(2 * len(tids)), sizes])
     adjacency = sparse.coo_matrix(
         (np.concatenate([w, w]), (np.concatenate([src, dst]),
                                   np.concatenate([dst, src]))), shape=(n, n)

@@ -104,7 +104,7 @@ class _Counts(dict):
             return -1
         try:
             return int(token, self.base)
-        except ValueError:  # past int's digit limit: the re-walk raises it
+        except ValueError:  # past int's digit limit: the re-walk names it
             return -1
 
 
@@ -192,7 +192,8 @@ def _check_data_line(line: str, pos: str, at: int) -> None:
             raise _truncated("frame count", at)
         if not _digits(t[end]):
             raise WndbFormatError(f"bad frame count {t[end]!r}", at)
-        last = end + 1 + 3 * int(t[end])
+        f_cnt = _DECIMAL[t[end]]  # -1 past int()'s digit limit: cannot fit
+        last = end + 1 + 3 * f_cnt if f_cnt >= 0 else n + 1
         if n < last:
             raise _truncated(_FRAME_FIELDS[(n - end - 1) % 3], at)
         end = last
@@ -211,10 +212,12 @@ def _check_index_line(line: str, pos: str, at: int) -> None:
             f"index pos {t[1]!r} does not match file pos {POS_CHARS[pos]!r}", at)
     if not (_digits(t[2]) and _digits(t[3])):
         raise WndbFormatError("bad synset or pointer count", at)
-    synset_cnt = int(t[2])
+    synset_cnt, p_cnt = _DECIMAL[t[2]], _DECIMAL[t[3]]
+    if synset_cnt < 0 or p_cnt < 0:
+        raise WndbFormatError("synset or pointer count past int()'s digit limit", at)
     if synset_cnt < 1:
         raise WndbFormatError("lemma must map to at least one synset", at)
-    first = 6 + int(t[3])  # lemma, pos, 2 counts, pointers, 2 sense counts
+    first = 6 + p_cnt  # lemma, pos, 2 counts, pointers, 2 sense counts
     if n - first != synset_cnt:
         raise WndbFormatError(f"expected {2 + synset_cnt} trailing fields, "
                               f"got {max(n - first + 2, 0)}", at)

@@ -15,9 +15,99 @@ from string import hexdigits
 
 import numpy as np
 
+from folkrel.core import Folksonomy, TagStats, normalize_tag
 from folkrel.folkrank import RankVector
 from folkrel.wndb import HYPERNYM_SYMBOLS, POS_CHARS, SS_TYPES, WndbFormatError
 from folkrel.wordnet import DOWN, ROOT, UP, TaxonomyStructureError, TaxPath
+
+
+# The dict-and-frozenset corpus that ``folkrel.core`` replaced with arrays:
+# posts held as {(user id, resource id): frozenset of tag ids}, built record
+# by record, and restricted by re-parsing the kept posts.
+
+def post_rows(f):
+    """{(user id, resource id): tag ids in row order} of a ``Folksonomy``."""
+    indptr = f.incidence.indptr.tolist()
+    indices = f.incidence.indices.tolist()
+    keys = zip(f.post_users.tolist(), f.post_resources.tolist())
+    return {key: tuple(indices[indptr[i]:indptr[i + 1]])
+            for i, key in enumerate(keys)}
+
+
+class DictFolksonomy:
+    """A corpus whose posts are a dict of frozen tag-id sets."""
+
+    def __init__(self, users, tags, resources, posts):
+        self.users = users
+        self.tags = tags
+        self.resources = resources
+        self.posts = posts
+
+    @classmethod
+    def from_posts(cls, records):
+        users, tags, resources = [], [], []
+        user_ids, tag_ids, resource_ids = {}, {}, {}
+        raw_posts = {}
+        for user, resource, tag_iter in records:
+            uid = user_ids.get(user)
+            if uid is None:
+                uid = user_ids[user] = len(users)
+                users.append(user)
+            rid = resource_ids.get(resource)
+            if rid is None:
+                rid = resource_ids[resource] = len(resources)
+                resources.append(resource)
+            tids = raw_posts.setdefault((uid, rid), set())
+            for tag in tag_iter:
+                tag = normalize_tag(tag)
+                tid = tag_ids.get(tag)
+                if tid is None:
+                    tid = tag_ids[tag] = len(tags)
+                    tags.append(tag)
+                tids.add(tid)
+        posts = {key: frozenset(tids) for key, tids in raw_posts.items()}
+        return cls(tuple(users), tuple(tags), tuple(resources), posts)
+
+    @property
+    def num_assignments(self):
+        return sum(len(ts) for ts in self.posts.values())
+
+
+def dict_tag_stats(f):
+    """Per-tag post counts, descending; ties broken lexicographically."""
+    counts = [0] * len(f.tags)
+    for tids in f.posts.values():
+        for tid in tids:
+            counts[tid] += 1
+    order = sorted(range(len(f.tags)), key=lambda tid: (-counts[tid], f.tags[tid]))
+    return [TagStats(tag=f.tags[tid], frequency=counts[tid], rank=pos + 1)
+            for pos, tid in enumerate(order)]
+
+
+def dict_restrict(f, k):
+    """The k most frequent tags' posts, re-parsed from their strings."""
+    keep = {s.tag for s in dict_tag_stats(f)[:k]}
+
+    def records():
+        for (uid, rid), tids in f.posts.items():
+            tags = [f.tags[t] for t in tids if f.tags[t] in keep]
+            if tags:
+                yield f.users[uid], f.resources[rid], tags
+
+    return DictFolksonomy.from_posts(records())
+
+
+def array_corpus(f):
+    """A ``Folksonomy`` of a ``DictFolksonomy``'s posts, one row per post in
+    dict order, each listing its frozenset."""
+    posts = list(f.posts.values())
+    indptr = np.zeros(len(posts) + 1, dtype=np.int64)
+    np.cumsum([len(tids) for tids in posts], out=indptr[1:])
+    indices = np.fromiter((t for tids in posts for t in tids),
+                          dtype=np.int64, count=int(indptr[-1]))
+    uid, rid = np.array(list(f.posts), dtype=np.int64).reshape(-1, 2).T
+    return Folksonomy(f.users, f.tags, f.resources, uid.copy(), rid.copy(),
+                      indptr, indices)
 
 
 def node_order(f):
@@ -40,7 +130,7 @@ def dense_fold(f):
         W[i, j] += w
         W[j, i] += w
 
-    for (uid, rid), tids in f.posts.items():
+    for (uid, rid), tids in post_rows(f).items():
         user = ("user", f.users[uid])
         resource = ("resource", f.resources[rid])
         bump(user, resource, float(len(tids)))
@@ -103,7 +193,7 @@ def power_rank(g, damping=0.7, preference=None, tol=1e-8, max_iter=200):
 def cooccurrence_counts(f):
     """Pair counts recomputed with a brute double loop over each post."""
     counts: dict[tuple[str, str], int] = {}
-    for tids in f.posts.values():
+    for tids in post_rows(f).values():
         names = sorted(f.tags[t] for t in tids)
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -217,7 +307,7 @@ class DictCoGraph:
 
     def __init__(self, f):
         counts: dict[tuple[int, int], int] = {}
-        for tids in f.posts.values():
+        for tids in post_rows(f).values():
             ts = sorted(tids)
             n = len(ts)
             for i in range(n - 1):

@@ -373,6 +373,23 @@ def test_ground_malformed_wordnet_file_exits_1(ground_posts, tmp_path, capsys,
     assert fragment in stderr
 
 
+def test_ground_count_past_int_digit_limit_exits_1(ground_posts, tmp_path, capsys):
+    # int() refuses decimal strings past 4,300 digits; this verb frame
+    # count used to escape as a bare ValueError, the usage-error status.
+    wordnet = tmp_path / "wordnet"
+    wordnet.mkdir()
+    for source in WNDB_DIR.iterdir():
+        (wordnet / source.name).write_bytes(source.read_bytes())
+    (wordnet / "index.verb").write_bytes(b"w v 1 0 1 0 00000001  \n")
+    (wordnet / "data.verb").write_bytes(
+        f"00000001 03 v 01 w 0 000 {'9' * 5000} | g\n".encode())
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(wordnet),
+                          "--out", str(tmp_path / "report"))
+    assert code == 1
+    assert "byte 0: truncated record: expected frame marker" in stderr
+
+
 def test_ground_non_finite_ic_count_exits_1(ground_posts, tmp_path, capsys):
     ic_path = tmp_path / "counts.tsv"
     ic_path.write_bytes(b"#ic-counts:lemma\ndog\t1\ncat\tinf\n")

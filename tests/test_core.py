@@ -20,7 +20,7 @@ def test_parse_merges_duplicate_posts():
     text = b"u1\tr1\ta,b\nu1\tr1\tb,c\n"
     f = parse_posts(io.BytesIO(text))
     assert f.num_assignments == 3  # one post with tags {a, b, c}
-    assert len(f.posts) == 1
+    assert f.num_posts == 1
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -107,7 +107,7 @@ def test_restrict_drops_emptied_posts():
                                ("u3", "r3", ["c"])])
     r = restrict_to_top_tags(f, 1)
     assert r.tags == ("b",)
-    assert len(r.posts) == 2
+    assert r.num_posts == 2
     assert "r3" not in r.resources
 
 
@@ -129,3 +129,11 @@ def test_restrict_rejects_nonpositive_k(f1):
 def test_from_posts_deduplicates_tags_within_post():
     f = Folksonomy.from_posts([("u1", "r1", ["x", "X", "x"])])
     assert f.num_assignments == 1
+
+
+def test_corpus_arrays_are_read_only(f1):
+    for f in (f1, restrict_to_top_tags(f1, 2)):
+        for array in (f.post_users, f.post_resources, f.incidence.indptr,
+                      f.incidence.indices, f.incidence.data):
+            with pytest.raises(ValueError):
+                array[0] = 0

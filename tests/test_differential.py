@@ -1,9 +1,10 @@
-"""Differential tests: the CSR co-occurrence graph, the numpy FolkRank
-selection, the FolkRank block walk (``rank`` and every column of
-``rank_tags``), the array-built WNdb taxonomy and the bidirectional path
-search against the references in ``oracles``.
+"""Differential tests: the array corpus, the CSR co-occurrence graph, the
+numpy FolkRank selection, the FolkRank block walk (``rank`` and every
+column of ``rank_tags``), the array-built WNdb taxonomy and the
+bidirectional path search against the references in ``oracles``.
 
-Agreement is exact: the same tags with the same float scores in the same
+Agreement is exact: the same ids, per-post tag order and graph arrays for
+the same records; the same tags with the same float scores in the same
 order, ties included; the same taxonomy, IC counts to the last bit, and
 the same error message for the same malformed input; the same shortest
 path, composition and end synsets.
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel.core import Folksonomy, UnknownTagError
+from folkrel.core import (Folksonomy, UnknownTagError, restrict_to_top_tags,
+                          tag_stats)
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
 from folkrel.folkrank import (PreferenceError, build_folkgraph,
@@ -31,8 +33,9 @@ from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
                              _smallest_label, ic_from_counts, shortest_path)
 
 import oracles
-from strategies import (LEMMA_POOL, UNICODE_TAG_POOL, duplicate, posts_lists,
-                        synset_specs, taxonomy_inputs)
+from strategies import (LEMMA_POOL, RESOURCE_POOL, TAG_POOL, UNICODE_TAG_POOL,
+                        USER_POOL, duplicate, posts_lists, synset_specs,
+                        taxonomy_inputs)
 
 CASES = settings(max_examples=200, deadline=None)
 
@@ -255,6 +258,84 @@ def test_folded_graph_matches_dense_fold(posts):
     # Canonical CSR fixes the summation order of every walk step.
     assert g.adjacency.has_canonical_format
     assert np.array_equal(g.adjacency.toarray(), expected[np.ix_(perm, perm)])
+
+
+# -- the array corpus against the dict-and-frozenset corpus ----------------
+
+# Case and NFC/NFD spellings of one tag, and tags whose lowercase or NFC
+# form is longer or merges with another.
+SPELLINGS = ["Web", "web", "WEB", "é", "e\u0301", "É", "E\u0301", "ß", "ẞ",
+             "ǅ", "ǆ", "ﬁ", "\u2126", "Ω", "ω", "日本", "İ"]
+
+
+@st.composite
+def corpus_records(draw):
+    """Records whose (user, resource) pairs repeat, not only side by side,
+    with repeated and variant-spelled tags, and sometimes one post of 200+
+    tags among them."""
+    pool = draw(st.sampled_from([TAG_POOL, UNICODE_TAG_POOL + SPELLINGS]))
+    records = draw(st.lists(st.tuples(
+        st.sampled_from(USER_POOL), st.sampled_from(RESOURCE_POOL),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=6)), max_size=30))
+    if draw(st.booleans()):
+        tags = [f"t{i}" for i in range(draw(st.integers(200, 260)))] + pool
+        records.insert(draw(st.integers(0, len(records))),
+                       ("long", "post", draw(st.permutations(tags))))
+    return records
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def assert_same_graphs(f, ref):
+    """Both graphs of ``f`` equal those built from ``ref``'s rows."""
+    assert_same_csr(build_cooccurrence(f).matrix, build_cooccurrence(ref).matrix)
+    if f.num_assignments:
+        assert_same_csr(build_folkgraph(f).adjacency, build_folkgraph(ref).adjacency)
+
+
+def assert_same_corpus(f, ref):
+    """Same ids, posts in the same order, same counts and tag stats."""
+    assert (f.users, f.tags, f.resources) == (ref.users, ref.tags, ref.resources)
+    assert list(oracles.post_rows(f)) == list(ref.posts)
+    assert f.num_posts == len(ref.posts) and type(f.num_posts) is int
+    assert f.num_assignments == ref.num_assignments
+    assert type(f.num_assignments) is int
+    assert tag_stats(f) == oracles.dict_tag_stats(ref)
+    assert_same_graphs(f, oracles.array_corpus(ref))
+
+
+# Tag ids 26, 2, 16, 32, 31 added in this order iterate in another order
+# as a set than as the frozenset of that set.
+FROZEN_ORDER = [("u0", "r0", [f"t{i}" for i in range(33)]),
+                ("u1", "r1", ["t26", "t2", "t16", "t32", "t31"])]
+
+
+@CASES
+@given(corpus_records(), st.integers(1, 40))
+@example([], 1)
+@example(FROZEN_ORDER, 3)
+@example([("u1", "r1", ["a", "b"]), ("u2", "r2", ["c"]), ("u3", "r1", ["A"])], 1)
+def test_array_corpus_matches_dict_corpus(records, k):
+    f = Folksonomy.from_posts((u, r, iter(tags)) for u, r, tags in records)
+    ref = oracles.DictFolksonomy.from_posts(records)
+    assert_same_corpus(f, ref)
+    # Parsed rows list each post's tags in its frozenset's order.
+    assert list(oracles.post_rows(f).values()) == list(map(tuple, ref.posts.values()))
+    for cut in sorted({1, 2, k, f.num_tags, f.num_tags + 1} - {0}):
+        restricted = restrict_to_top_tags(f, cut)
+        ref_restricted = oracles.dict_restrict(ref, cut)
+        assert_same_corpus(restricted, ref_restricted)
+        # Restricted rows keep the surviving tags in their parsed order.
+        kept = set(restricted.tags)
+        assert [[restricted.tags[t] for t in row]
+                for row in oracles.post_rows(restricted).values()] == [
+            names for names in ([f.tags[t] for t in row if f.tags[t] in kept]
+                                for row in oracles.post_rows(f).values()) if names]
+        assert [frozenset(row) for row in oracles.post_rows(restricted).values()] \
+            == list(ref_restricted.posts.values())
 
 
 # -- WNdb taxonomies against the per-token parser and dict-building loops --

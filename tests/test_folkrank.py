@@ -21,8 +21,8 @@ def test_f1_graph_shape(f1):
 def test_f1_edge_weights(f1):
     g = build_folkgraph(f1)
     a = g.adjacency
-    u1, web = f1.user_id("u1"), g.tag_offset + f1.tag_id("web")
-    r1 = g.resource_offset + f1.resource_id("r1")
+    u1, web = f1.users.index("u1"), g.tag_offset + f1.tag_id("web")
+    r1 = g.resource_offset + f1.resources.index("r1")
     assert a[u1, web] == 2  # u1 tagged two resources with web
     assert a[web, r1] == 2  # two users put web on r1
     assert a[u1, r1] == 2   # u1's post on r1 has two tags

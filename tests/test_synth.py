@@ -7,6 +7,8 @@ from folkrel.core import parse_posts
 from folkrel.synth import synonym_corpus, uniform_posts, write_synonym_corpus
 from folkrel.wordnet import load_wordnet_dir
 
+import oracles
+
 
 def test_synonym_corpus_is_deterministic():
     a = synonym_corpus(num_fillers=40, num_pairs=3, background_posts=60,
@@ -34,7 +36,7 @@ def test_planted_members_never_share_a_post():
                             seed=3)
     f = parse_posts(io.BytesIO(corpus.posts_text.encode()))
     members = {m for pair in corpus.planted for m in pair}
-    for tids in f.posts.values():
+    for tids in oracles.post_rows(f).values():
         names = {f.tags[t] for t in tids}
         assert len(members & names) <= 1
 
@@ -63,7 +65,7 @@ def test_uniform_posts_shape_and_determinism():
     lines = list(itertools.islice(uniform_posts(num_posts=500), 600))
     assert len(lines) == 500
     f = parse_posts(io.BytesIO(b"".join(lines)))
-    assert len(f.posts) == 500
+    assert f.num_posts == 500
     assert f.num_assignments == 2000  # unique resource per post, 4 tags each
     again = list(uniform_posts(num_posts=500))
     assert lines == again

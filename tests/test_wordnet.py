@@ -109,6 +109,24 @@ def test_verb_frame_count_must_be_ascii_digits(frames):
         parse_data(line, "verb")
 
 
+NINES = "9" * 5000  # past int()'s 4,300-digit limit
+PAST_LIMIT = "synset or pointer count past int()'s digit limit"
+
+
+@pytest.mark.parametrize("parse,pos,line,message", [
+    (parse_data, "verb", f"00000001 03 v 01 w 0 000 {NINES} | g",
+     "truncated record: expected frame marker"),
+    (parse_index, "noun", f"dog n {NINES} 0 1 0 00000011", PAST_LIMIT),
+    (parse_index, "noun", f"dog n 1 {NINES} 1 0 00000011", PAST_LIMIT),
+    (parse_index, "noun", f"dog n {'0' * 4400}1 0 1 0 00000011", PAST_LIMIT),
+], ids=["frame count", "synset count", "pointer count", "padded synset count"])
+def test_counts_past_int_digit_limit_raise_format_errors(parse, pos, line, message):
+    header = b"  1 header line\n"
+    with pytest.raises(WndbFormatError) as err:
+        parse(header + line.encode(), pos)
+    assert str(err.value) == f"byte {len(header)}: {message}"
+
+
 def test_index_parse_rejects_wrong_pos():
     with pytest.raises(WndbFormatError):
         parse_index(b"dog v 1 0 1 0 00000011  \n", "noun")
