@@ -10,12 +10,14 @@ from folkrel.cli import WORDNET_ENV, main
 from folkrel.core import load_posts
 from folkrel.grounding import (METRIC_POS, REPORT_FILES, GroundingEvaluator,
                                write_report_files)
+from folkrel.synth import synonym_corpus, write_synonym_corpus
 from folkrel.wndb import SynsetSpec, write_database
 from folkrel.wordnet import load_ic, load_wordnet_dir, parse_ic_counts
 
 from conftest import F1_TEXT, FIXTURE_DIR
 
 WNDB_DIR = FIXTURE_DIR / "wndb"
+GOLDEN_DIR = FIXTURE_DIR / "ground_golden"
 
 # Same hierarchy tags as the wndb fixture, arranged so freq pairs
 # dog with cat and car with dog.
@@ -339,6 +341,41 @@ def test_ground_parses_the_ic_file_once(ground_posts, tmp_path, capsys,
     write_report_files(evaluator.report(), expected)
     for name in REPORT_FILES:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def _offset_counts(wordnet_dir) -> bytes:
+    """A small offset-mode counts file over some categories, filler leaves
+    and planted pairs of the synonym corpus's noun taxonomy."""
+    noun = load_wordnet_dir(wordnet_dir)["noun"]
+    lemmas = ([f"category{c:02d}" for c in range(0, 30, 3)]
+              + [f"f{i:04d}" for i in range(0, 120, 7)]
+              + [f"syn{i:03d}a" for i in range(0, 10, 2)])
+    lines = ["#ic-counts:offset"]
+    for n, lemma in enumerate(lemmas):
+        offset, = noun.synsets_of(lemma)
+        lines.append(f"{offset:08d}\t{n % 5 + 1}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("ic", ["default_ic", "offset_ic"])
+def test_ground_reports_match_golden_files(ic, tmp_path, capsys):
+    """The 7 report files and stdout of one fixed run, byte for byte."""
+    corpus = synonym_corpus(num_fillers=120, num_pairs=10,
+                            background_posts=300, seed=9)
+    posts_path, wordnet_dir = write_synonym_corpus(corpus, tmp_path)
+    out = tmp_path / "report"
+    argv = ["ground", "--posts", str(posts_path),
+            "--wordnet-dir", str(wordnet_dir), "--out", str(out)]
+    if ic == "offset_ic":
+        ic_path = tmp_path / "counts.tsv"
+        ic_path.write_bytes(_offset_counts(wordnet_dir))
+        argv += ["--ic-file", str(ic_path)]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    golden = GOLDEN_DIR / ic
+    assert stdout == (golden / "stdout.txt").read_text(encoding="utf-8")
+    for name in REPORT_FILES:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_ground_malformed_ic_file_exits_1(ground_posts, tmp_path, capsys):
