@@ -18,8 +18,8 @@ from .distributional import (build_cooccurrence, cosine_relatedness,
                              freq_relatedness)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
                        DEFAULT_TOL, build_folkgraph, folkrank_relatedness)
-from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, RankParams,
-                        report_summary_lines, write_report_files)
+from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, QUERY_BLOCK,
+                        RankParams, report_summary_lines, write_report_files)
 from .tsvio import atomic_write_text, fmt6
 from .wndb import WndbFormatError
 from .wordnet import (IcCountsError, TaxonomyStructureError,
@@ -171,19 +171,20 @@ def cmd_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _add_source_flags(parser: argparse.ArgumentParser, posts_required: bool = False) -> None:
     parser.add_argument("--posts", help="posts file (user<TAB>resource<TAB>tag,tag,...)",
                         required=posts_required)
-    parser.add_argument("--top-tags", type=int, default=10000, metavar="N",
-                        help="restrict to the N most frequent tags (default 10000)")
+    parser.add_argument("--top-tags", type=int, default=RunConfig.top_tags,
+                        metavar="N",
+                        help="restrict to the N most frequent tags (default %(default)s)")
 
 
 def _add_rank_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--damping", type=float, default=DEFAULT_DAMPING,
-                        help=f"random-surfer damping factor (default {DEFAULT_DAMPING})")
-    parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                        help=f"preference mass on the query tag (default {DEFAULT_BETA})")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help=f"L1 convergence tolerance (default {DEFAULT_TOL})")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                        help=f"iteration cap (default {DEFAULT_MAX_ITER})")
+    parser.add_argument("--damping", type=float, default=RunConfig.damping,
+                        help="random-surfer damping factor (default %(default)s)")
+    parser.add_argument("--beta", type=float, default=RunConfig.beta,
+                        help="preference mass on the query tag (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=RunConfig.tol,
+                        help="L1 convergence tolerance (default %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
+                        help="iteration cap (default %(default)s)")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -204,8 +205,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     relate_parser.add_argument("--out", help="index directory from build")
     relate_parser.add_argument("--measure", required=True, choices=MEASURES)
     relate_parser.add_argument("--tag", required=True)
-    relate_parser.add_argument("-k", type=int, default=10,
-                               help="number of related tags (default 10)")
+    relate_parser.add_argument("-k", type=int, default=RunConfig.k,
+                               help="number of related tags (default %(default)s)")
     _add_rank_flags(relate_parser)
     relate_parser.set_defaults(handler=cmd_relate)
 
@@ -217,21 +218,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                help=f"WNdb directory (fallback: ${WORDNET_ENV})")
     ground_parser.add_argument("--ic-file",
                                help="information-content counts file")
-    ground_parser.add_argument("-k", type=int, default=10,
-                               help="top list size for grounding (default 10)")
+    ground_parser.add_argument("-k", type=int, default=RunConfig.k,
+                               help="top list size for grounding (default %(default)s)")
     _add_rank_flags(ground_parser)
     ground_parser.add_argument(
-        "--threads", type=int, default=1,
-        help="run the FolkRank walks on that many threads, one block of 16 "
-             "query tags at a time, without changing any output byte (default 1)")
+        "--threads", type=int, default=RunConfig.threads,
+        help=f"run the FolkRank walks on that many threads, in blocks of up to "
+             f"{QUERY_BLOCK} query tags, without changing any output byte "
+             f"(default %(default)s)")
     ground_parser.set_defaults(handler=cmd_ground)
 
     stats_parser = subparsers.add_parser(
         "stats", help="print corpus size and the most frequent tags")
     _add_source_flags(stats_parser)
     stats_parser.add_argument("--out", help="index directory from build")
-    stats_parser.add_argument("-k", type=int, default=10,
-                              help="number of rows to print (default 10)")
+    stats_parser.add_argument("-k", type=int, default=RunConfig.k,
+                              help="number of rows to print (default %(default)s)")
     stats_parser.set_defaults(handler=cmd_stats)
     return parser
 

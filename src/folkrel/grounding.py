@@ -12,6 +12,10 @@ Semantic distances are computed in the noun and verb taxonomies only; a
 tag covered by several is scored with the minimum distance (nouns win
 ties).  Tags or related tags without a metric-eligible lemma are skipped
 and tallied, never silently dropped.
+
+`GroundingEvaluator.report` gathers all of this into one plain dict, the
+report.json document.  `write_report_files` writes that document and
+renders each of the six report TSVs as a table of its values.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -230,7 +235,6 @@ class GroundingEvaluator:
         self._top: dict[str, dict[str, tuple[RelatedTag, ...]]] = {}
         self._pairs: dict[str, MeasurePairs] = {}
         self._matches: dict[str, dict[str, str]] = {}
-        self._walks = WalkStats()
 
     @property
     def folkgraph(self) -> FolkGraph:
@@ -258,15 +262,17 @@ class GroundingEvaluator:
             result = {t: cosine_relatedness(self.cograph, t, k).items
                       for t in self._tags}
         elif measure == "folkrank":
-            result = self._folkrank_top()
+            result = self._folkrank[0]
         else:
             raise ValueError(f"unknown measure {measure!r}")
         self._top[measure] = result
         return result
 
-    def _folkrank_top(self) -> dict[str, tuple[RelatedTag, ...]]:
+    @cached_property
+    def _folkrank(self) -> tuple[dict[str, tuple[RelatedTag, ...]], WalkStats]:
+        """FolkRank top lists with the convergence of the walks behind them."""
         if not self._tags:
-            return {}
+            return {}, WalkStats()
         g = self.folkgraph
         p = self.params
         base = rank(g, p.damping, None, p.tol, p.max_iter)
@@ -284,9 +290,9 @@ class GroundingEvaluator:
                 done = list(pool.map(walk, blocks))
         else:
             done = [walk(block) for block in blocks]
-        self._walks = WalkStats.of(
+        walks = WalkStats.of(
             [_outcome(base)] + [o for _, outcomes in done for o in outcomes])
-        return dict(zip(self._tags, (top for tops, _ in done for top in tops)))
+        return dict(zip(self._tags, (top for tops, _ in done for top in tops))), walks
 
     def _metric_match(self, tag: str) -> dict[str, str]:
         """Lemma match per distance-eligible part of speech."""
@@ -431,209 +437,135 @@ class GroundingEvaluator:
         )
         return RankCurve(measure, rows, skipped)
 
-    def report(self, measures: Sequence[str] = MEASURES) -> "GroundingReport":
+    def report(self, measures: Sequence[str] = MEASURES) -> dict:
+        """The report.json document for ``measures``, in their order.
+
+        Every report TSV is a table of this document's values.
+        """
         summaries = {}
         for measure in measures:
-            path_mean, _ = self.avg_semantic_distance(measure, "path")
-            jcn_mean, _ = self.avg_semantic_distance(measure, "jcn")
-            pathlen, _ = self.path_length_distribution(measure)
-            summaries[measure] = MeasureSummary(
-                pairs=self.semantic_pairs(measure),
-                path_mean=path_mean,
-                jcn_mean=jcn_mean,
-                pathlen_counts=pathlen,
-                edge_counts={n: self.edge_composition(measure, n)[0]
-                             for n in sorted(EDGE_PATTERNS)},
-            )
+            pairs = self.semantic_pairs(measure)
+            summaries[measure] = {
+                "pairs": len(pairs.samples),
+                "total": pairs.total,
+                "skipped_original": pairs.skipped_original,
+                "no_related": pairs.no_related,
+                "skipped_related": pairs.skipped_related,
+                "no_common_pos": pairs.no_common_pos,
+                "path_mean": self.avg_semantic_distance(measure, "path")[0],
+                "jcn_mean": self.avg_semantic_distance(measure, "jcn")[0],
+                "path_lengths": self.path_length_distribution(measure)[0],
+                "edge_compositions": {str(n): self.edge_composition(measure, n)[0]
+                                      for n in sorted(EDGE_PATTERNS)},
+            }
         overlaps = []
         for a, b in MEASURE_PAIRS:
             if a in measures and b in measures:
                 mean, tags = self.top_k_overlap(a, b)
-                overlaps.append(OverlapRow(a, b, self.k, mean, tags))
-        return GroundingReport(
-            coverage=self.coverage(),
-            measures={m: summaries[m] for m in measures},
-            overlaps=tuple(overlaps),
-            curves={m: self.rank_curve(m) for m in measures},
-            k=self.k,
-            params=self.params,
-            walks=self._walks if "folkrank" in measures else WalkStats(),
-        )
-
-
-@dataclass(frozen=True)
-class MeasureSummary:
-    pairs: MeasurePairs
-    path_mean: float | None
-    jcn_mean: float | None
-    pathlen_counts: Mapping[str, int]
-    edge_counts: Mapping[int, Mapping[str, int]]
-
-
-@dataclass(frozen=True)
-class OverlapRow:
-    measure_a: str
-    measure_b: str
-    k: int
-    mean_overlap: float | None
-    tags: int
-
-
-@dataclass(frozen=True)
-class GroundingReport:
-    coverage: CoverageResult
-    measures: Mapping[str, MeasureSummary]
-    overlaps: tuple[OverlapRow, ...]
-    curves: Mapping[str, RankCurve]
-    k: int
-    params: RankParams
-    walks: WalkStats
-
-
-def _coverage_text(report: GroundingReport) -> str:
-    lines = ["pos\tcovered\ttotal\tfraction"]
-    cov = report.coverage
-    lines.append(f"any\t{cov.covered}\t{cov.total}\t{fmt6(cov.fraction())}")
-    for pos in sorted(cov.per_pos):
-        lines.append(f"{pos}\t{cov.per_pos[pos]}\t{cov.total}"
-                     f"\t{fmt6(cov.pos_fraction(pos))}")
-    return "\n".join(lines) + "\n"
-
-
-def _semdist_text(report: GroundingReport) -> str:
-    lines = ["measure\tmetric\tmean\tpairs\ttotal\tskipped_original"
-             "\tno_related\tskipped_related\tno_common_pos"]
-    for measure, summary in report.measures.items():
-        pairs = summary.pairs
-        for metric, mean in (("path", summary.path_mean), ("jcn", summary.jcn_mean)):
-            lines.append(
-                f"{measure}\t{metric}\t{fmt6(mean)}\t{len(pairs.samples)}"
-                f"\t{pairs.total}\t{pairs.skipped_original}\t{pairs.no_related}"
-                f"\t{pairs.skipped_related}\t{pairs.no_common_pos}")
-    return "\n".join(lines) + "\n"
-
-
-def _pathlen_text(report: GroundingReport) -> str:
-    lines = ["measure\tlength\tcount\tfraction"]
-    for measure, summary in report.measures.items():
-        n = len(summary.pairs.samples)
-        for bucket in PATH_BUCKETS:
-            count = summary.pathlen_counts[bucket]
-            fraction = count / n if n else None
-            lines.append(f"{measure}\t{bucket}\t{count}\t{fmt6(fraction)}")
-    return "\n".join(lines) + "\n"
-
-
-def _edgecomp_text(report: GroundingReport) -> str:
-    lines = ["measure\tlength\tpattern\tcount\tfraction"]
-    for measure, summary in report.measures.items():
-        for length in sorted(EDGE_PATTERNS):
-            counts = summary.edge_counts[length]
-            n = sum(counts.values())
-            for pattern in EDGE_PATTERNS[length]:
-                count = counts[pattern]
-                fraction = count / n if n else None
-                lines.append(f"{measure}\t{length}\t{pattern}\t{count}"
-                             f"\t{fmt6(fraction)}")
-    return "\n".join(lines) + "\n"
-
-
-def _overlap_text(report: GroundingReport) -> str:
-    lines = ["measure_a\tmeasure_b\tk\tmean_overlap\ttags"]
-    for row in report.overlaps:
-        lines.append(f"{row.measure_a}\t{row.measure_b}\t{row.k}"
-                     f"\t{fmt6(row.mean_overlap)}\t{row.tags}")
-    return "\n".join(lines) + "\n"
-
-
-def _rankcurve_text(report: GroundingReport) -> str:
-    lines = ["measure\tbucket\trank_lo\trank_hi\ttags\tmean_related_rank"]
-    for measure, curve in report.curves.items():
-        for row in curve.rows:
-            lines.append(f"{measure}\t{row.bucket}\t{row.rank_lo}\t{row.rank_hi}"
-                         f"\t{row.tags}\t{fmt6(row.mean_related_rank)}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(report: GroundingReport) -> dict:
-    cov = report.coverage
-    payload = {
-        "coverage": {
-            "total": cov.total,
-            "covered": cov.covered,
-            "defined": cov.defined,
-            "fraction": cov.fraction(),
-            "per_pos": {pos: {"covered": cov.per_pos[pos],
-                              "fraction": cov.pos_fraction(pos)}
-                        for pos in sorted(cov.per_pos)},
-        },
-        "k": report.k,
-        "params": {
-            "damping": report.params.damping,
-            "beta": report.params.beta,
-            "tol": report.params.tol,
-            "max_iter": report.params.max_iter,
-        },
-        "folkrank": asdict(report.walks),
-        "measures": {},
-        "overlaps": [
-            {"measure_a": row.measure_a, "measure_b": row.measure_b,
-             "k": row.k, "mean_overlap": row.mean_overlap, "tags": row.tags}
-            for row in report.overlaps
-        ],
-        "rank_curves": {
-            measure: {"skipped": curve.skipped,
-                      "rows": [asdict(row) for row in curve.rows]}
-            for measure, curve in report.curves.items()
-        },
-    }
-    for measure, summary in report.measures.items():
-        pairs = summary.pairs
-        payload["measures"][measure] = {
-            "pairs": len(pairs.samples),
-            "total": pairs.total,
-            "skipped_original": pairs.skipped_original,
-            "no_related": pairs.no_related,
-            "skipped_related": pairs.skipped_related,
-            "no_common_pos": pairs.no_common_pos,
-            "path_mean": summary.path_mean,
-            "jcn_mean": summary.jcn_mean,
-            "path_lengths": dict(summary.pathlen_counts),
-            "edge_compositions": {str(n): dict(summary.edge_counts[n])
-                                  for n in sorted(summary.edge_counts)},
+                overlaps.append({"measure_a": a, "measure_b": b, "k": self.k,
+                                 "mean_overlap": mean, "tags": tags})
+        curves = {m: self.rank_curve(m) for m in measures}
+        walks = self._folkrank[1] if "folkrank" in measures else WalkStats()
+        cov = self.coverage()
+        return {
+            "coverage": {
+                "total": cov.total,
+                "covered": cov.covered,
+                "defined": cov.defined,
+                "fraction": cov.fraction(),
+                "per_pos": {pos: {"covered": cov.per_pos[pos],
+                                  "fraction": cov.pos_fraction(pos)}
+                            for pos in sorted(cov.per_pos)},
+            },
+            "k": self.k,
+            "params": asdict(self.params),
+            "folkrank": asdict(walks),
+            "measures": summaries,
+            "overlaps": overlaps,
+            "rank_curves": {
+                measure: {"skipped": curve.skipped,
+                          "rows": [asdict(row) for row in curve.rows]}
+                for measure, curve in curves.items()
+            },
         }
-    return payload
 
 
-def write_report_files(report: GroundingReport, directory) -> list[Path]:
-    """Write the six report TSVs and report.json into ``directory``."""
+def _fraction(count: int, n: int) -> str:
+    return fmt6(count / n if n else None)
+
+
+def _tables(report: dict) -> dict[str, list[tuple]]:
+    """The six report TSVs, each as a header and rows of values from the
+    report document; means and fractions are rendered by `fmt6`."""
+    cov = report["coverage"]
+    measures = report["measures"]
+    pathlen, edgecomp = [], []
+    for measure, m in measures.items():
+        for bucket in PATH_BUCKETS:
+            count = m["path_lengths"][bucket]
+            pathlen.append((measure, bucket, count, _fraction(count, m["pairs"])))
+        for length, patterns in sorted(EDGE_PATTERNS.items()):
+            counts = m["edge_compositions"][str(length)]
+            n = sum(counts.values())
+            edgecomp += [(measure, length, pattern, counts[pattern],
+                          _fraction(counts[pattern], n)) for pattern in patterns]
+    return {
+        "report_coverage.tsv": [
+            ("pos", "covered", "total", "fraction"),
+            ("any", cov["covered"], cov["total"], fmt6(cov["fraction"])),
+            *((pos, row["covered"], cov["total"], fmt6(row["fraction"]))
+              for pos, row in cov["per_pos"].items()),
+        ],
+        "report_semdist.tsv": [
+            ("measure", "metric", "mean", "pairs", "total", "skipped_original",
+             "no_related", "skipped_related", "no_common_pos"),
+            *((measure, metric, fmt6(m[f"{metric}_mean"]), m["pairs"], m["total"],
+               m["skipped_original"], m["no_related"], m["skipped_related"],
+               m["no_common_pos"])
+              for measure, m in measures.items() for metric in ("path", "jcn")),
+        ],
+        "report_pathlen.tsv": [("measure", "length", "count", "fraction"),
+                               *pathlen],
+        "report_edgecomp.tsv": [("measure", "length", "pattern", "count",
+                                 "fraction"), *edgecomp],
+        "report_overlap.tsv": [
+            ("measure_a", "measure_b", "k", "mean_overlap", "tags"),
+            *((o["measure_a"], o["measure_b"], o["k"], fmt6(o["mean_overlap"]),
+               o["tags"]) for o in report["overlaps"]),
+        ],
+        "report_rankcurve.tsv": [
+            ("measure", "bucket", "rank_lo", "rank_hi", "tags", "mean_related_rank"),
+            *((measure, row["bucket"], row["rank_lo"], row["rank_hi"], row["tags"],
+               fmt6(row["mean_related_rank"]))
+              for measure, curve in report["rank_curves"].items()
+              for row in curve["rows"]),
+        ],
+    }
+
+
+def write_report_files(report: dict, directory) -> list[Path]:
+    """Write the six report TSVs and report.json for a `report` document
+    into ``directory``, in `REPORT_FILES` order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    writers = {
-        "report_coverage.tsv": _coverage_text,
-        "report_semdist.tsv": _semdist_text,
-        "report_pathlen.tsv": _pathlen_text,
-        "report_edgecomp.tsv": _edgecomp_text,
-        "report_overlap.tsv": _overlap_text,
-        "report_rankcurve.tsv": _rankcurve_text,
-    }
     written = []
-    for name, writer in writers.items():
+    for name, rows in _tables(report).items():
         path = directory / name
-        atomic_write_text(path, writer(report))
+        atomic_write_text(path, "".join("\t".join(map(str, row)) + "\n"
+                                        for row in rows))
         written.append(path)
     json_path = directory / "report.json"
-    atomic_write_json(json_path, _report_json(report))
+    atomic_write_json(json_path, report)
     written.append(json_path)
     return written
 
 
-def report_summary_lines(report: GroundingReport) -> list[str]:
+def report_summary_lines(report: dict) -> list[str]:
     """Console one-liners: coverage plus each measure-pair overlap."""
-    cov = report.coverage
-    lines = [f"coverage: {cov.covered}/{cov.total} tags"
-             f" ({fmt6(cov.fraction())})"]
-    for row in report.overlaps:
-        lines.append(f"overlap {row.measure_a}-{row.measure_b} k={row.k}:"
-                     f" {fmt6(row.mean_overlap)}")
+    cov = report["coverage"]
+    lines = [f"coverage: {cov['covered']}/{cov['total']} tags"
+             f" ({fmt6(cov['fraction'])})"]
+    for o in report["overlaps"]:
+        lines.append(f"overlap {o['measure_a']}-{o['measure_b']} k={o['k']}:"
+                     f" {fmt6(o['mean_overlap'])}")
     return lines

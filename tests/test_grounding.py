@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict
 
 import pytest
 
@@ -278,10 +277,10 @@ def test_threads_do_not_change_the_report(toy, t1, tmp_path):
 
 def test_report_covers_all_measures(toy_eval):
     report = toy_eval.report()
-    assert set(report.measures) == set(MEASURES)
-    assert len(report.overlaps) == 3
-    for curve in report.curves.values():
-        assert curve.skipped + sum(r.tags for r in curve.rows) == 4
+    assert set(report["measures"]) == set(MEASURES)
+    assert len(report["overlaps"]) == 3
+    for curve in report["rank_curves"].values():
+        assert curve["skipped"] + sum(r["tags"] for r in curve["rows"]) == 4
 
 
 def test_write_report_files(toy_eval, tmp_path):
@@ -318,7 +317,7 @@ def test_report_json_payload(toy_eval, tmp_path):
     assert walks["nonconverged"] == 0
     assert 1 <= walks["max_iterations"] <= 200
     assert 0.0 <= walks["max_residual"] <= 1e-8
-    assert walks == asdict(report.walks)
+    assert walks == report["folkrank"]
 
     curves = payload["rank_curves"]
     assert sorted(curves) == sorted(MEASURES)
@@ -331,14 +330,47 @@ def test_report_json_payload(toy_eval, tmp_path):
                  for measure, curve in curves.items() for row in curve["rows"]]
     assert sorted(json_rows) == sorted(tsv_rows)
     for measure, curve in curves.items():
-        assert curve["skipped"] == report.curves[measure].skipped
+        assert curve["skipped"] == report["rank_curves"][measure]["skipped"]
         assert curve["skipped"] + sum(r["tags"] for r in curve["rows"]) == 4
+
+    # Every other TSV row is the matching report.json values under fmt6.
+    def rows(name):
+        return [line.split("\t")
+                for line in (tmp_path / name).read_text().splitlines()[1:]]
+
+    cov = payload["coverage"]
+    assert rows("report_coverage.tsv") == [
+        ["any", str(cov["covered"]), str(cov["total"]), fmt6(cov["fraction"])],
+        *([pos, str(c["covered"]), str(cov["total"]), fmt6(c["fraction"])]
+          for pos, c in sorted(cov["per_pos"].items()))]
+    measures = [(name, payload["measures"][name]) for name in MEASURES]
+    assert rows("report_semdist.tsv") == [
+        [name, metric, fmt6(m[f"{metric}_mean"]), str(m["pairs"]),
+         str(m["total"]), str(m["skipped_original"]), str(m["no_related"]),
+         str(m["skipped_related"]), str(m["no_common_pos"])]
+        for name, m in measures for metric in ("path", "jcn")]
+    assert rows("report_pathlen.tsv") == [
+        [name, bucket, str(count),
+         fmt6(count / m["pairs"] if m["pairs"] else None)]
+        for name, m in measures for bucket, count in m["path_lengths"].items()]
+    edge_rows = []
+    for name, m in measures:
+        for length in ("1", "2"):
+            counts = m["edge_compositions"][length]
+            n = sum(counts.values())
+            edge_rows += [[name, length, pattern, str(count),
+                           fmt6(count / n if n else None)]
+                          for pattern, count in counts.items()]
+    assert sorted(rows("report_edgecomp.tsv")) == sorted(edge_rows)
+    assert rows("report_overlap.tsv") == [
+        [o["measure_a"], o["measure_b"], str(o["k"]), fmt6(o["mean_overlap"]),
+         str(o["tags"])] for o in payload["overlaps"]]
 
 
 def test_empty_corpus_report_is_flagged_not_crashing(t1, tmp_path):
     ev = GroundingEvaluator(Folksonomy.from_posts([]), {"noun": t1})
     report = ev.report()
-    assert not report.coverage.defined
+    assert not report["coverage"]["defined"]
     write_report_files(report, tmp_path)
     semdist = (tmp_path / "report_semdist.tsv").read_text()
     assert "undefined" in semdist
