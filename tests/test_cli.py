@@ -357,7 +357,33 @@ def _offset_counts(wordnet_dir) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("ic", ["default_ic", "offset_ic"])
+def _add_verb_and_adj(posts_path, wordnet_dir) -> None:
+    """Verb and adj databases next to the synonym corpus's noun one, plus
+    posts that pair verb-only and adj-only tags with noun fillers.
+
+    Every even filler is also a verb, grouped by ``i % 4`` under one verb
+    root, so a pair of even fillers is scored in both trees; "sprint",
+    "dash" and "stroll" are verb-only, "quick" adj-only and "slow" an adj
+    that shares a synset with the noun filler f0003.
+    """
+    verbs = [SynsetSpec("act", ("act",))]
+    verbs += [SynsetSpec(f"vg{g}", (f"vgroup{g}",), ("act",)) for g in range(4)]
+    verbs += [SynsetSpec(f"v_f{i:04d}", (f"f{i:04d}",), (f"vg{i % 4}",))
+              for i in range(0, 120, 2)]
+    verbs += [SynsetSpec("sprint", ("sprint", "dash"), ("vg1",)),
+              SynsetSpec("stroll", ("stroll",), ("vg3",))]
+    write_database(verbs, "verb", wordnet_dir)
+    write_database([SynsetSpec("quick", ("quick",)),
+                    SynsetSpec("slow", ("slow", "f0003"))], "adj", wordnet_dir)
+    with open(posts_path, "a", encoding="utf-8") as handle:
+        handle.write("vu0\tvr0\tsprint,f0001,quick\n"
+                     "vu0\tvr1\tsprint,f0001\n"
+                     "vu1\tvr2\tstroll,f0005\n"
+                     "vu1\tvr3\tstroll,f0005,slow\n"
+                     "vu2\tvr4\tdash,sprint\n")
+
+
+@pytest.mark.parametrize("ic", ["default_ic", "offset_ic", "multi_pos"])
 def test_ground_reports_match_golden_files(ic, tmp_path, capsys):
     """The 7 report files and stdout of one fixed run, byte for byte."""
     corpus = synonym_corpus(num_fillers=120, num_pairs=10,
@@ -370,12 +396,26 @@ def test_ground_reports_match_golden_files(ic, tmp_path, capsys):
         ic_path = tmp_path / "counts.tsv"
         ic_path.write_bytes(_offset_counts(wordnet_dir))
         argv += ["--ic-file", str(ic_path)]
+    if ic == "multi_pos":
+        _add_verb_and_adj(posts_path, wordnet_dir)
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     golden = GOLDEN_DIR / ic
     assert stdout == (golden / "stdout.txt").read_text(encoding="utf-8")
     for name in REPORT_FILES:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+    if ic == "multi_pos":
+        # The golden bytes cover the per-POS coverage rows, disjoint parts
+        # of speech and the minimum over both distance trees.
+        payload = json.loads((out / "report.json").read_text())
+        assert sorted(payload["coverage"]["per_pos"]) == ["adj", "noun", "verb"]
+        assert any(m["no_common_pos"] for m in payload["measures"].values())
+        taxonomies = load_wordnet_dir(wordnet_dir)
+        evaluator = GroundingEvaluator(load_posts(posts_path), taxonomies)
+        assert any(all(taxonomies[pos].match_lemma(tag) is not None
+                       for pos in METRIC_POS for tag in (s.tag, s.related))
+                   for measure in payload["measures"]
+                   for s in evaluator.semantic_pairs(measure).samples)
 
 
 def test_ground_malformed_ic_file_exits_1(ground_posts, tmp_path, capsys):
