@@ -14,8 +14,8 @@ from .distributional import (CoGraph, RelatedList, RelatedTag,
                              cosine_similarity, freq_relatedness)
 from .folkrank import (FolkGraph, PreferenceError, RankVector,
                        build_folkgraph, folkrank_relatedness, rank)
-from .grounding import (CoverageResult, GroundingEvaluator, MEASURES,
-                        RankParams, coverage, write_report_files)
+from .grounding import (GroundingEvaluator, MEASURES, RankParams, coverage,
+                        write_report_files)
 from .wndb import SynsetSpec, WndbFormatError, write_database
 from .wordnet import (ICTable, IcCountsError, TaxPath, Taxonomy,
                       TaxonomyStructureError, UnknownLemmaError,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoGraph",
-    "CoverageResult",
     "Folksonomy",
     "FolkGraph",
     "GroundingEvaluator",

@@ -108,8 +108,9 @@ def _summary(f) -> str:
 
 
 def cmd_build(args: argparse.Namespace, cfg: RunConfig) -> int:
-    f = _load_folksonomy(cfg)
+    # --out is made before any load, so an unusable one fails at once.
     cfg.out.mkdir(parents=True, exist_ok=True)
+    f = _load_folksonomy(cfg)
     atomic_write_text(cfg.out / "folksonomy.tsv", serialize_posts(f))
     print(_summary(f))
     return 0
@@ -140,6 +141,7 @@ def cmd_ground(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.wordnet_dir is None:
         raise ValueError(
             f"--wordnet-dir is required (or set {WORDNET_ENV})")
+    cfg.out.mkdir(parents=True, exist_ok=True)
     f = _load_folksonomy(cfg)
     taxonomies = load_wordnet_dir(cfg.wordnet_dir)
     ic_tables = {}

@@ -13,9 +13,13 @@ tag covered by several is scored with the minimum distance (nouns win
 ties).  Tags or related tags without a metric-eligible lemma are skipped
 and tallied, never silently dropped.
 
-`GroundingEvaluator.report` gathers all of this into one plain dict, the
-report.json document.  `write_report_files` writes that document and
-renders each of the six report TSVs as a table of its values.
+Each summary is built once, as its entry of the report.json document:
+`coverage` and `MeasurePairs.summary` are public, the overlap rows, rank
+curves and FolkRank walk stats private to the evaluator, and
+`GroundingEvaluator.report` only assembles these entries into one plain
+dict.  `semantic_pairs` is the per-pair view behind the measure entries.
+`write_report_files` writes the document and renders each of the six
+report TSVs as a table of its values.
 """
 
 from __future__ import annotations
@@ -74,62 +78,43 @@ class RankParams:
     max_iter: int = DEFAULT_MAX_ITER
 
 
-@dataclass(frozen=True)
-class WalkStats:
-    """Convergence of the FolkRank walks behind a report: the per-tag walks
-    plus the uniform-preference base walk."""
-
-    walks: int = 0
-    nonconverged: int = 0
-    max_iterations: int = 0
-    max_residual: float | None = None  # None when no walk ran
-
-    @classmethod
-    def of(cls, walks: Sequence[tuple[bool, int, float]]) -> "WalkStats":
-        """From (converged, iterations, residual) per walk."""
-        if not walks:
-            return cls()
-        converged, iterations, residuals = zip(*walks)
-        return cls(walks=len(walks), nonconverged=converged.count(False),
-                   max_iterations=max(iterations), max_residual=max(residuals))
-
-
 def _outcome(v: RankVector) -> tuple[bool, int, float]:
     return v.converged, v.iterations, v.residual
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    total: int
-    covered: int  # tags with a lemma match in any loaded part of speech
-    per_pos: Mapping[str, int]
-
-    @property
-    def defined(self) -> bool:
-        """False when there were no tags to cover at all."""
-        return self.total > 0
-
-    def fraction(self) -> float:
-        return self.covered / self.total if self.total else 0.0
-
-    def pos_fraction(self, pos: str) -> float:
-        return self.per_pos[pos] / self.total if self.total else 0.0
+def _walk_stats(walks: Sequence[tuple[bool, int, float]]) -> dict:
+    """The report's ``folkrank`` entry: convergence of the FolkRank walks
+    behind it, from (converged, iterations, residual) per walk.  With no
+    walk, ``max_residual`` is None."""
+    converged, iterations, residuals = zip(*walks) if walks else ((), (), ())
+    return {"walks": len(walks), "nonconverged": converged.count(False),
+            "max_iterations": max(iterations, default=0),
+            "max_residual": max(residuals, default=None)}
 
 
-def coverage(tags: Iterable[str], taxonomies: Mapping[str, Taxonomy]) -> CoverageResult:
-    """How many tags have a matching lemma, overall and per part of speech."""
+def coverage(tags: Iterable[str], taxonomies: Mapping[str, Taxonomy]) -> dict:
+    """The report's ``coverage`` entry: how many tags have a matching
+    lemma, overall and per part of speech.  ``defined`` is False when there
+    were no tags to cover at all."""
     tags = list(tags)
     per_pos = {pos: 0 for pos in taxonomies}
     covered = 0
     for tag in tags:
-        hit = False
-        for pos, tax in taxonomies.items():
-            if tax.match_lemma(tag) is not None:
-                per_pos[pos] += 1
-                hit = True
-        if hit:
-            covered += 1
-    return CoverageResult(len(tags), covered, per_pos)
+        hits = [pos for pos, tax in taxonomies.items()
+                if tax.match_lemma(tag) is not None]
+        for pos in hits:
+            per_pos[pos] += 1
+        covered += bool(hits)
+    total = len(tags)
+    return {
+        "total": total,
+        "covered": covered,
+        "defined": total > 0,
+        "fraction": covered / total if total else 0.0,
+        "per_pos": {pos: {"covered": per_pos[pos],
+                          "fraction": per_pos[pos] / total if total else 0.0}
+                    for pos in sorted(per_pos)},
+    }
 
 
 @dataclass(frozen=True)
@@ -168,21 +153,31 @@ class MeasurePairs:
         return (self.skipped_original + self.no_related
                 + self.skipped_related + self.no_common_pos)
 
-
-@dataclass(frozen=True)
-class RankCurveRow:
-    bucket: int
-    rank_lo: int
-    rank_hi: int
-    tags: int
-    mean_related_rank: float | None
-
-
-@dataclass(frozen=True)
-class RankCurve:
-    measure: str
-    rows: tuple[RankCurveRow, ...]
-    skipped: int  # tags without any related tag
+    def summary(self) -> dict:
+        """The measure's report ``measures`` entry: skip counts, mean path
+        length and JCN distance, and the path-length and edge-composition
+        counts of the scored pairs."""
+        samples = self.samples
+        n = len(samples)
+        path_lengths = dict.fromkeys(PATH_BUCKETS, 0)
+        edges = {str(length): dict.fromkeys(patterns, 0)
+                 for length, patterns in sorted(EDGE_PATTERNS.items())}
+        for s in samples:
+            path_lengths[str(s.path_length) if s.path_length < 3 else "3plus"] += 1
+            if s.path_length in EDGE_PATTERNS:
+                edges[str(s.path_length)][s.pattern()] += 1
+        return {
+            "pairs": n,
+            "total": self.total,
+            "skipped_original": self.skipped_original,
+            "no_related": self.no_related,
+            "skipped_related": self.skipped_related,
+            "no_common_pos": self.no_common_pos,
+            "path_mean": sum(s.path_length for s in samples) / n if n else None,
+            "jcn_mean": sum(s.jcn for s in samples) / n if n else None,
+            "path_lengths": path_lengths,
+            "edge_compositions": edges,
+        }
 
 
 def rank_bucket_spans(max_rank: int, buckets: int = RANK_BUCKETS) -> list[tuple[int, int]]:
@@ -204,9 +199,9 @@ def rank_bucket_spans(max_rank: int, buckets: int = RANK_BUCKETS) -> list[tuple[
 class GroundingEvaluator:
     """Runs every measure over a folksonomy and grounds it in taxonomies.
 
-    Expensive artifacts (per-measure top lists, the baseline rank vector,
-    scored pairs) are computed once and memoized, so building a full
-    report costs the same as asking for each summary separately.
+    Expensive artifacts (per-measure top lists, the FolkRank walks, scored
+    pairs) are computed once and memoized; `report` builds every summary
+    from them.
     """
 
     def __init__(
@@ -269,10 +264,11 @@ class GroundingEvaluator:
         return result
 
     @cached_property
-    def _folkrank(self) -> tuple[dict[str, tuple[RelatedTag, ...]], WalkStats]:
-        """FolkRank top lists with the convergence of the walks behind them."""
+    def _folkrank(self) -> tuple[dict[str, tuple[RelatedTag, ...]], dict]:
+        """FolkRank top lists with the report's ``folkrank`` entry, the
+        convergence of the walks behind them."""
         if not self._tags:
-            return {}, WalkStats()
+            return {}, _walk_stats(())
         g = self.folkgraph
         p = self.params
         base = rank(g, p.damping, None, p.tol, p.max_iter)
@@ -290,7 +286,7 @@ class GroundingEvaluator:
                 done = list(pool.map(walk, blocks))
         else:
             done = [walk(block) for block in blocks]
-        walks = WalkStats.of(
+        walks = _walk_stats(
             [_outcome(base)] + [o for _, outcomes in done for o in outcomes])
         return dict(zip(self._tags, (top for tops, _ in done for top in tops))), walks
 
@@ -354,139 +350,59 @@ class GroundingEvaluator:
         self._pairs[measure] = pairs
         return pairs
 
-    def coverage(self) -> CoverageResult:
-        return coverage(self._tags, self.taxonomies)
-
-    def avg_semantic_distance(self, measure: str, metric: str = "path") -> tuple[float | None, int]:
-        """Mean distance over scored pairs; metric is ``path`` or ``jcn``."""
-        if metric not in ("path", "jcn"):
-            raise ValueError(f"unknown metric {metric!r}")
-        pairs = self.semantic_pairs(measure)
-        if not pairs.samples:
-            return None, 0
-        if metric == "path":
-            total = sum(s.path_length for s in pairs.samples)
-        else:
-            total = sum(s.jcn for s in pairs.samples)
-        return total / len(pairs.samples), len(pairs.samples)
-
-    def path_length_distribution(self, measure: str) -> tuple[dict[str, int], int]:
-        """Counts of pair path lengths in buckets 0, 1, 2 and 3plus."""
-        pairs = self.semantic_pairs(measure)
-        counts = {bucket: 0 for bucket in PATH_BUCKETS}
-        for sample in pairs.samples:
-            key = str(sample.path_length) if sample.path_length < 3 else "3plus"
-            counts[key] += 1
-        return counts, len(pairs.samples)
-
-    def edge_composition(self, measure: str, length: int) -> tuple[dict[str, int], int]:
-        """Counts of up/down patterns among pairs at the given path length."""
-        patterns = EDGE_PATTERNS.get(length)
-        if patterns is None:
-            raise ValueError(f"edge composition is reported for lengths "
-                             f"{sorted(EDGE_PATTERNS)}, got {length}")
-        pairs = self.semantic_pairs(measure)
-        counts = {pattern: 0 for pattern in patterns}
-        n = 0
-        for sample in pairs.samples:
-            if sample.path_length == length:
-                counts[sample.pattern()] += 1
-                n += 1
-        return counts, n
-
-    def top_k_overlap(self, measure_a: str, measure_b: str) -> tuple[float | None, int]:
-        """Mean size of the intersection of the two top-k lists, over all tags."""
+    def _overlap(self, measure_a: str, measure_b: str) -> dict:
+        """One ``overlaps`` row: the mean size of the intersection of the two
+        top-k lists, over all tags."""
         top_a = self.top_related(measure_a)
         top_b = self.top_related(measure_b)
-        if not self._tags:
-            return None, 0
-        total = 0
-        for tag in self._tags:
-            names_a = {item.tag for item in top_a[tag]}
-            names_b = {item.tag for item in top_b[tag]}
-            total += len(names_a & names_b)
-        return total / len(self._tags), len(self._tags)
+        n = len(self._tags)
+        total = sum(len({item.tag for item in top_a[tag]}
+                        & {item.tag for item in top_b[tag]})
+                    for tag in self._tags)
+        return {"measure_a": measure_a, "measure_b": measure_b, "k": self.k,
+                "mean_overlap": total / n if n else None, "tags": n}
 
-    def rank_curve(self, measure: str) -> RankCurve:
-        """Mean global rank of the top related tags, bucketed by the global
-        rank of the query tag on a log scale."""
+    def _rank_curve(self, measure: str) -> dict:
+        """One ``rank_curves`` entry: the mean global rank of the top related
+        tags, bucketed by the global rank of the query tag on a log scale."""
         top = self.top_related(measure)
         spans = rank_bucket_spans(len(self._tags))
+        span_index = {r: idx for idx, (lo, hi) in enumerate(spans)
+                      for r in range(lo, hi + 1)}
         sums = [0.0] * len(spans)
         counts = [0] * len(spans)
-        skipped = 0
-        span_index: dict[int, int] = {}
-        for idx, (lo, hi) in enumerate(spans):
-            for r in range(lo, hi + 1):
-                span_index[r] = idx
+        skipped = 0  # tags without any related tag
         for tag in self._tags:
             items = top[tag]
             if not items:
                 skipped += 1
                 continue
-            mean_rank = sum(self._ranks[it.tag] for it in items) / len(items)
             idx = span_index[self._ranks[tag]]
-            sums[idx] += mean_rank
+            sums[idx] += sum(self._ranks[it.tag] for it in items) / len(items)
             counts[idx] += 1
-        rows = tuple(
-            RankCurveRow(
-                bucket=idx, rank_lo=lo, rank_hi=hi, tags=counts[idx],
-                mean_related_rank=(sums[idx] / counts[idx]) if counts[idx] else None,
-            )
-            for idx, (lo, hi) in enumerate(spans)
-        )
-        return RankCurve(measure, rows, skipped)
+        return {"skipped": skipped, "rows": [
+            {"bucket": idx, "rank_lo": lo, "rank_hi": hi, "tags": counts[idx],
+             "mean_related_rank": sums[idx] / counts[idx] if counts[idx] else None}
+            for idx, (lo, hi) in enumerate(spans)]}
 
     def report(self, measures: Sequence[str] = MEASURES) -> dict:
         """The report.json document for ``measures``, in their order.
 
         Every report TSV is a table of this document's values.
         """
-        summaries = {}
-        for measure in measures:
-            pairs = self.semantic_pairs(measure)
-            summaries[measure] = {
-                "pairs": len(pairs.samples),
-                "total": pairs.total,
-                "skipped_original": pairs.skipped_original,
-                "no_related": pairs.no_related,
-                "skipped_related": pairs.skipped_related,
-                "no_common_pos": pairs.no_common_pos,
-                "path_mean": self.avg_semantic_distance(measure, "path")[0],
-                "jcn_mean": self.avg_semantic_distance(measure, "jcn")[0],
-                "path_lengths": self.path_length_distribution(measure)[0],
-                "edge_compositions": {str(n): self.edge_composition(measure, n)[0]
-                                      for n in sorted(EDGE_PATTERNS)},
-            }
-        overlaps = []
-        for a, b in MEASURE_PAIRS:
-            if a in measures and b in measures:
-                mean, tags = self.top_k_overlap(a, b)
-                overlaps.append({"measure_a": a, "measure_b": b, "k": self.k,
-                                 "mean_overlap": mean, "tags": tags})
-        curves = {m: self.rank_curve(m) for m in measures}
-        walks = self._folkrank[1] if "folkrank" in measures else WalkStats()
-        cov = self.coverage()
+        summaries = {m: self.semantic_pairs(m).summary() for m in measures}
+        # Read after the summaries, so the walks run inside top_related.
+        walks = (dict(self._folkrank[1]) if "folkrank" in measures
+                 else _walk_stats(()))
         return {
-            "coverage": {
-                "total": cov.total,
-                "covered": cov.covered,
-                "defined": cov.defined,
-                "fraction": cov.fraction(),
-                "per_pos": {pos: {"covered": cov.per_pos[pos],
-                                  "fraction": cov.pos_fraction(pos)}
-                            for pos in sorted(cov.per_pos)},
-            },
+            "coverage": coverage(self._tags, self.taxonomies),
             "k": self.k,
             "params": asdict(self.params),
-            "folkrank": asdict(walks),
+            "folkrank": walks,
             "measures": summaries,
-            "overlaps": overlaps,
-            "rank_curves": {
-                measure: {"skipped": curve.skipped,
-                          "rows": [asdict(row) for row in curve.rows]}
-                for measure, curve in curves.items()
-            },
+            "overlaps": [self._overlap(a, b) for a, b in MEASURE_PAIRS
+                         if a in measures and b in measures],
+            "rank_curves": {m: self._rank_curve(m) for m in measures},
         }
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -643,12 +643,25 @@ def ic_from_parsed(tax: Taxonomy, parsed: tuple[str, list[tuple[str, float]]],
             lemma_counts[key] = lemma_counts.get(key, 0.0) + count
         return ic_from_counts(tax, lemma_counts=lemma_counts, smoothing=smoothing)
     synset_counts: dict[int, float] = {}
+    # Offsets are int64, at most 19 digits: a longer key names no synset.
+    # int() refuses, and printing refuses, a number past its digit limit,
+    # leading zeros included, so keys are counted by their digits alone.
+    too_long: dict[str, float] = {}
     for key, count in entries:
         if not _digits(key):
             raise IcCountsError(f"bad synset offset {key!r}")
-        offset = int(key)
+        digits = key.lstrip("0")
+        if len(digits) > 19:
+            too_long[digits] = too_long.get(digits, 0.0) + count
+            continue
+        offset = int(digits or "0")
         synset_counts[offset] = synset_counts.get(offset, 0.0) + count
-    return ic_from_counts(tax, synset_counts=synset_counts, smoothing=smoothing)
+    for digits, count in too_long.items():
+        if count < 0:
+            raise IcCountsError(
+                f"negative count for a {len(digits)}-digit synset offset")
+    table = ic_from_counts(tax, synset_counts=synset_counts, smoothing=smoothing)
+    return replace(table, skipped=table.skipped + len(too_long))
 
 
 def jiang_conrath(tax: Taxonomy, ic: ICTable, lemma1: str, lemma2: str) -> float:

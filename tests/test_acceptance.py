@@ -169,8 +169,9 @@ def test_criterion_5_cosine_recovers_planted_synonyms(tmp_path):
     _, wordnet_dir = write_synonym_corpus(corpus, tmp_path)
     taxonomies = load_wordnet_dir(wordnet_dir)
     evaluator = GroundingEvaluator(f, taxonomies, k=10)
-    cosine_zero = evaluator.path_length_distribution("cosine")[0]["0"]
-    freq_zero = evaluator.path_length_distribution("freq")[0]["0"]
+    measures = evaluator.report(("cosine", "freq"))["measures"]
+    cosine_zero = measures["cosine"]["path_lengths"]["0"]
+    freq_zero = measures["freq"]["path_lengths"]["0"]
     assert cosine_zero > freq_zero
 
     elapsed = time.perf_counter() - started

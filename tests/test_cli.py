@@ -62,6 +62,22 @@ def test_build_writes_indices_and_summary(posts, tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["folksonomy.tsv"]
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("called after --out failed")
+
+
+def test_build_fails_on_out_file_before_parsing(posts, tmp_path, capsys,
+                                                 monkeypatch):
+    out = tmp_path / "index"
+    out.write_bytes(b"")
+    monkeypatch.setattr(cli, "load_posts", _never)
+    code, stdout, stderr = run(capsys, "build", "--posts", str(posts),
+                               "--out", str(out))
+    assert code == 1
+    assert "File exists" in stderr
+    assert stdout == ""
+
+
 def test_build_is_reproducible(posts, tmp_path, capsys):
     out = tmp_path / "index"
     run(capsys, "build", "--posts", str(posts), "--out", str(out))
@@ -280,7 +296,49 @@ def test_ground_half_copied_verb_database_exits_1(ground_posts, tmp_path, capsys
                           "--out", str(tmp_path / "report"))
     assert code == 1
     assert "missing data.verb next to index.verb" in stderr
-    assert not (tmp_path / "report").exists()
+    # --out is made before the load and stays empty.
+    assert list((tmp_path / "report").iterdir()) == []
+
+
+def test_ground_fails_on_out_file_before_any_walk(ground_posts, tmp_path,
+                                                  capsys, monkeypatch):
+    out = tmp_path / "report"
+    out.write_bytes(b"")
+    monkeypatch.setattr(cli, "load_posts", _never)
+    monkeypatch.setattr(cli, "load_wordnet_dir", _never)
+    monkeypatch.setattr(cli, "GroundingEvaluator", _never)
+    code, stdout, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                               "--wordnet-dir", str(WNDB_DIR), "--out", str(out))
+    assert code == 1
+    assert "File exists" in stderr
+    assert stdout == ""
+    assert out.read_bytes() == b""
+
+
+def test_ground_skips_ic_offset_past_the_int_digit_limit(ground_posts, tmp_path,
+                                                        capsys):
+    # int() refuses more than 4,300 digits; such a key names no synset.
+    ic_path = tmp_path / "counts.tsv"
+    ic_path.write_bytes(f"#ic-counts:offset\n{'9' * 5000}\t3\n".encode())
+    out = tmp_path / "report"
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(WNDB_DIR),
+                          "--ic-file", str(ic_path), "--out", str(out))
+    assert (code, stderr) == (0, "")
+    # Only the one smoothing count per synset is left: the JCN mean equals
+    # that of a run without counts.
+    plain = tmp_path / "plain"
+    run(capsys, "ground", "--posts", str(ground_posts),
+        "--wordnet-dir", str(WNDB_DIR), "--out", str(plain))
+    assert ((out / "report.json").read_bytes()
+            == (plain / "report.json").read_bytes())
+
+    ic_path.write_bytes(f"#ic-counts:offset\n{'9' * 5000}\t-3\n".encode())
+    code, _, stderr = run(capsys, "ground", "--posts", str(ground_posts),
+                          "--wordnet-dir", str(WNDB_DIR),
+                          "--ic-file", str(ic_path), "--out", str(out))
+    assert code == 1
+    assert "negative count for a 5000-digit synset offset" in stderr
 
 
 def test_ground_with_ic_counts_file(ground_posts, tmp_path, capsys):

@@ -40,24 +40,27 @@ def toy_eval(toy, t1):
 
 def test_coverage_counts_matches(t1):
     cov = coverage(["dog", "cat", "xyzzy"], {"noun": t1})
-    assert (cov.total, cov.covered) == (3, 2)
-    assert cov.fraction() == pytest.approx(2 / 3)
-    assert cov.per_pos == {"noun": 2}
-    assert cov.defined
+    assert (cov["total"], cov["covered"]) == (3, 2)
+    assert cov["fraction"] == pytest.approx(2 / 3)
+    assert cov["per_pos"] == {"noun": {"covered": 2, "fraction": 2 / 3}}
+    assert cov["defined"] is True
 
 
 def test_coverage_empty_tag_list_is_flagged(t1):
     cov = coverage([], {"noun": t1})
-    assert not cov.defined
-    assert cov.fraction() == 0.0
+    assert cov["defined"] is False
+    assert cov["fraction"] == 0.0
+    assert cov["per_pos"] == {"noun": {"covered": 0, "fraction": 0.0}}
 
 
 def test_coverage_counts_each_pos(t1):
     verb = Taxonomy.build("verb", {100: ["bark"], 200: ["dog"]}, {})
-    cov = coverage(["dog", "bark", "xyzzy"], {"noun": t1, "verb": verb})
-    assert cov.covered == 2  # dog (both), bark (verb only)
-    assert cov.per_pos == {"noun": 1, "verb": 2}
-    assert cov.pos_fraction("verb") == pytest.approx(2 / 3)
+    cov = coverage(["dog", "bark", "xyzzy"], {"verb": verb, "noun": t1})
+    assert cov["covered"] == 2  # dog (both), bark (verb only)
+    assert {pos: row["covered"] for pos, row in cov["per_pos"].items()} == {
+        "noun": 1, "verb": 2}
+    assert list(cov["per_pos"]) == ["noun", "verb"]  # sorted, as the TSV rows
+    assert cov["per_pos"]["verb"]["fraction"] == pytest.approx(2 / 3)
 
 
 # -- pair scoring and skip accounting ------------------------------------
@@ -79,9 +82,13 @@ def test_semantic_pairs_on_toy_corpus(toy_eval):
     assert pairs.skipped + len(pairs.samples) == pairs.total
 
 
+def freq_summary(evaluator) -> dict:
+    return evaluator.report(("freq",))["measures"]["freq"]
+
+
 def test_avg_path_distance_on_toy_corpus(toy_eval):
-    mean, n = toy_eval.avg_semantic_distance("freq", "path")
-    assert (mean, n) == (3.0, 2)
+    m = freq_summary(toy_eval)
+    assert (m["path_mean"], m["pairs"]) == (3.0, 2)
 
 
 def test_avg_jcn_uses_uniform_fallback_counts(toy_eval, t1):
@@ -90,14 +97,9 @@ def test_avg_jcn_uses_uniform_fallback_counts(toy_eval, t1):
     ic = ic_from_counts(t1, smoothing=1.0)
     expected = (jiang_conrath(t1, ic, "dog", "cat")
                 + jiang_conrath(t1, ic, "car", "dog")) / 2
-    mean, n = toy_eval.avg_semantic_distance("freq", "jcn")
-    assert n == 2
-    assert mean == pytest.approx(expected, abs=1e-12)
-
-
-def test_avg_distance_rejects_unknown_metric(toy_eval):
-    with pytest.raises(ValueError):
-        toy_eval.avg_semantic_distance("freq", "hops")
+    m = freq_summary(toy_eval)
+    assert m["pairs"] == 2
+    assert m["jcn_mean"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_covered_tag_without_cooccurrences_counts_as_no_related(t1):
@@ -140,49 +142,33 @@ def test_common_pos_takes_minimum_distance_noun_first():
 # -- distributions -------------------------------------------------------
 
 def test_path_length_distribution(toy_eval):
-    counts, n = toy_eval.path_length_distribution("freq")
-    assert n == 2
-    assert counts == {"0": 0, "1": 0, "2": 1, "3plus": 1}
+    m = freq_summary(toy_eval)
+    assert m["pairs"] == 2
+    assert m["path_lengths"] == {"0": 0, "1": 0, "2": 1, "3plus": 1}
 
 
 def test_edge_composition_length_two(toy_eval):
-    counts, n = toy_eval.edge_composition("freq", 2)
-    assert n == 1
+    counts = freq_summary(toy_eval)["edge_compositions"]["2"]
+    assert sum(counts.values()) == 1
     assert counts == {"up-up": 0, "up-down": 1, "down-up": 0, "down-down": 0}
 
 
 def test_edge_composition_length_one(t1):
     f = parse_posts(io.BytesIO(b"u1\tr1\tdog,animal\n"))
     ev = GroundingEvaluator(f, {"noun": t1})
-    counts, n = ev.edge_composition("freq", 1)
-    assert n == 2
-    assert counts == {"up": 1, "down": 1}  # dog->animal up, animal->dog down
-
-
-def test_edge_composition_rejects_unreported_length(toy_eval):
-    with pytest.raises(ValueError):
-        toy_eval.edge_composition("freq", 3)
+    edges = freq_summary(ev)["edge_compositions"]
+    assert sorted(edges) == ["1", "2"]
+    assert sum(edges["1"].values()) == 2
+    assert edges["1"] == {"up": 1, "down": 1}  # dog->animal up, animal->dog down
 
 
 # -- overlap -------------------------------------------------------------
 
-def test_top_k_overlap_with_itself_is_list_length(toy, t1):
-    ev = GroundingEvaluator(toy, {"noun": t1}, k=1)
-    mean, tags = ev.top_k_overlap("freq", "freq")
-    assert tags == 4
-    assert mean == 1.0  # every tag has at least one co-occurring partner
-
-
-def test_top_k_overlap_symmetric(toy_eval):
-    ab = toy_eval.top_k_overlap("freq", "cosine")
-    ba = toy_eval.top_k_overlap("cosine", "freq")
-    assert ab == ba
-    assert 0.0 <= ab[0] <= toy_eval.k
-
-
 def test_top_k_overlap_empty_corpus(t1):
     ev = GroundingEvaluator(Folksonomy.from_posts([]), {"noun": t1})
-    assert ev.top_k_overlap("freq", "cosine") == (None, 0)
+    assert ev.report(("freq", "cosine"))["overlaps"] == [
+        {"measure_a": "cosine", "measure_b": "freq", "k": 10,
+         "mean_overlap": None, "tags": 0}]
 
 
 # -- rank buckets and curves ---------------------------------------------
@@ -212,17 +198,22 @@ def test_rank_bucket_spans_degenerate():
     assert rank_bucket_spans(1) == [(1, 1)]
 
 
+def freq_curve(evaluator) -> dict:
+    curves = evaluator.report(("freq",))["rank_curves"]
+    assert list(curves) == ["freq"]
+    return curves["freq"]
+
+
 def test_rank_curve_accounts_for_every_tag(toy_eval):
-    curve = toy_eval.rank_curve("freq")
-    assert curve.measure == "freq"
-    assert curve.skipped == 0
-    assert sum(row.tags for row in curve.rows) == 4
-    for row in curve.rows:
-        if row.tags:
-            assert row.mean_related_rank is not None
-            assert 1 <= row.mean_related_rank <= 4
+    curve = freq_curve(toy_eval)
+    assert curve["skipped"] == 0
+    assert sum(row["tags"] for row in curve["rows"]) == 4
+    for row in curve["rows"]:
+        if row["tags"]:
+            assert row["mean_related_rank"] is not None
+            assert 1 <= row["mean_related_rank"] <= 4
         else:
-            assert row.mean_related_rank is None
+            assert row["mean_related_rank"] is None
 
 
 def test_rank_curve_mean_uses_global_ranks(t1):
@@ -230,17 +221,17 @@ def test_rank_curve_mean_uses_global_ranks(t1):
     # dog (rank 2), so the first bucket averages to 2.5.
     f = parse_posts(io.BytesIO(TOY_TEXT))
     ev = GroundingEvaluator(f, {"noun": t1})
-    curve = ev.rank_curve("freq")
-    first = curve.rows[0]
-    assert (first.rank_lo, first.rank_hi, first.tags) == (1, 1, 1)
-    assert first.mean_related_rank == pytest.approx(2.5)
+    first = freq_curve(ev)["rows"][0]
+    assert (first["bucket"], first["rank_lo"], first["rank_hi"],
+            first["tags"]) == (0, 1, 1, 1)
+    assert first["mean_related_rank"] == pytest.approx(2.5)
 
 
 def test_rank_curve_skips_tags_without_related(t1):
     f = parse_posts(io.BytesIO(b"u1\tr1\tdog\nu2\tr2\tcat,car\n"))
-    curve = GroundingEvaluator(f, {"noun": t1}).rank_curve("freq")
-    assert curve.skipped == 1
-    assert sum(row.tags for row in curve.rows) == 2
+    curve = freq_curve(GroundingEvaluator(f, {"noun": t1}))
+    assert curve["skipped"] == 1
+    assert sum(row["tags"] for row in curve["rows"]) == 2
 
 
 # -- evaluator plumbing --------------------------------------------------

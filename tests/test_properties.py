@@ -114,28 +114,31 @@ def test_rank_vector_is_distribution(f, data):
 def test_report_distributions_normalized(f):
     ev = GroundingEvaluator(f, {"noun": TAG_TAXONOMY}, k=5)
     cov = coverage(sorted(f.tags), {"noun": TAG_TAXONOMY})
-    assert cov.fraction() == 1.0  # every generated tag is a lemma
+    assert cov["fraction"] == 1.0  # every generated tag is a lemma
+    report = ev.report()
 
     for measure in MEASURES:
         pairs = ev.semantic_pairs(measure)
         assert pairs.skipped + len(pairs.samples) == pairs.total == f.num_tags
-        counts, n = ev.path_length_distribution(measure)
+        m = report["measures"][measure]
+        counts, n = m["path_lengths"], m["pairs"]
+        assert n == len(pairs.samples)
         assert sum(counts.values()) == n
         if n:
             fractions = [c / n for c in counts.values()]
             assert math.isclose(math.fsum(fractions), 1.0, abs_tol=1e-9)
         for length in EDGE_PATTERNS:
-            ecounts, en = ev.edge_composition(measure, length)
-            assert sum(ecounts.values()) == en
+            ecounts = m["edge_compositions"][str(length)]
+            en = sum(s.path_length == length for s in pairs.samples)
+            assert sum(ecounts.values()) == en == counts[str(length)]
             if en:
                 assert math.isclose(
                     math.fsum(c / en for c in ecounts.values()), 1.0,
                     abs_tol=1e-9)
-        curve = ev.rank_curve(measure)
-        assert curve.skipped + sum(r.tags for r in curve.rows) == f.num_tags
+        curve = report["rank_curves"][measure]
+        assert curve["skipped"] + sum(r["tags"] for r in curve["rows"]) == f.num_tags
 
-    for m_a in MEASURES:
-        for m_b in MEASURES:
-            mean, tags = ev.top_k_overlap(m_a, m_b)
-            assert tags == f.num_tags
-            assert 0.0 <= mean <= ev.k
+    assert len(report["overlaps"]) == 3
+    for overlap in report["overlaps"]:
+        assert overlap["tags"] == f.num_tags
+        assert 0.0 <= overlap["mean_overlap"] <= ev.k

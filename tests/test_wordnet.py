@@ -9,8 +9,9 @@ from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
                           render_database, write_database)
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
                              TaxonomyStructureError, UnknownLemmaError,
-                             ic_from_counts, jiang_conrath, load_ic,
-                             load_taxonomy, load_wordnet_dir, shortest_path)
+                             ic_from_counts, ic_from_parsed, jiang_conrath,
+                             load_ic, load_taxonomy, load_wordnet_dir,
+                             shortest_path)
 
 from conftest import FIXTURE_DIR, T1_SPECS, synset_by_lemma
 
@@ -405,6 +406,20 @@ def test_load_ic_offset_mode(t1):
     text = f"#ic-counts:offset\n{dog}\t3\n".encode()
     ic = load_ic(io.BytesIO(text), t1, smoothing=0.0)
     assert ic.count(dog) == 3.0
+
+
+def test_ic_from_parsed_skips_offsets_past_the_int_digit_limit(t1):
+    dog = synset_by_lemma(t1, "dog")
+    huge = "9" * 5000  # int() refuses more than 4,300 digits by default
+    ic = ic_from_parsed(t1, ("offset", [(huge, 3.0), (str(dog), 2.0),
+                                        ("0" + huge, 1.0), ("1" * 20, 1.0),
+                                        ("0" * 5000 + str(dog), 1.0)]),
+                        smoothing=0.0)
+    assert ic.skipped == 2  # the repeated huge offset, and 20 ones
+    assert ic.count(dog) == 3.0
+    with pytest.raises(IcCountsError) as err:
+        ic_from_parsed(t1, ("offset", [(huge, 3.0), ("0" + huge, -4.0)]))
+    assert "negative count for a 5000-digit synset offset" in str(err.value)
 
 
 def test_load_ic_accumulates_repeated_keys(t1):
