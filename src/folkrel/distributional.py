@@ -71,8 +71,12 @@ class CoGraph:
         self.tags = tags
         self._tag_ids = {t: i for i, t in enumerate(tags)}
         self.matrix = matrix
-        self.norm_sq = np.asarray(matrix.multiply(matrix).sum(axis=1),
-                                  dtype=np.int64).ravel()
+        # Squared entries summed per row with no matrix copy: reduceat sums
+        # each non-empty row up to the start of the next one.
+        starts, filled = matrix.indptr[:-1], np.diff(matrix.indptr) > 0
+        self.norm_sq = np.zeros(len(tags), dtype=np.int64)
+        self.norm_sq[filled] = np.add.reduceat(matrix.data * matrix.data,
+                                               starts[filled])
         self.norms = np.sqrt(self.norm_sq)
         self.tag_rank = string_rank(tags)
 
@@ -111,10 +115,20 @@ class CoGraph:
 
 def build_cooccurrence(f: Folksonomy) -> CoGraph:
     """Count, for every unordered tag pair, the posts containing both."""
+    # Bᵀ·B is symmetric, so its compressed arrays are its rows, CSR or CSC.
+    # The diagonal is dropped by an entry mask (a diagonal entry's column is
+    # its row); converting the rows, read as CSC, to CSR sorts them.
     counts = f.incidence.T @ f.incidence
-    matrix = (counts - sparse.diags(counts.diagonal(), dtype=np.int64)).tocsr()
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
+    indptr, indices, data = counts.indptr, counts.indices, counts.data
+    del counts  # so each array is freed once its masked copy replaces it
+    n = f.num_tags
+    keep = indices != np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    indptr = indptr - np.r_[0, np.bincount(indices[~keep], minlength=n).cumsum()]
+    data = data[keep]
+    indices = indices[keep]
+    del keep
+    matrix = sparse.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+    del data, indices
     return CoGraph(f.tags, matrix)
 
 

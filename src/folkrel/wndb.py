@@ -7,15 +7,17 @@ file); index lines map a lowercase lemma to its synset offsets.  License
 header lines start with a space and are skipped.
 
 Every token of a record is validated, but only what taxonomic queries
-read is kept, as columns: offsets, words and (synset, hypernym) offset
-pairs.  Digit fields must be ASCII digits.  A file is decoded once (line
-by line if it does not decode as a whole, as header lines are skipped
-undecoded); each record line is split once and gated by its layout (count
-fields through lookup tables), and per block of lines the offset, target
-and pointer pos columns are checked and converted in bulk.  A file that
-fails any of this is re-walked line by line, and one checker per file
-kind raises its first fault, in field order, with the byte offset of its
-line.
+read is kept, as columns: a data file keeps its synset offsets, the
+number of words of each synset and (synset, hypernym) offset pairs; an
+index file keeps its lemmas and their synset offsets.  Digit fields must
+be ASCII digits.  A file is decoded in blocks of about ``_BLOCK`` bytes
+cut at line ends (line by line if a block does not decode, as header
+lines are skipped undecoded); each record line is split once and gated
+by its layout (count fields through lookup tables), and per block the
+offset, target and pointer pos columns are checked and converted in
+bulk.  A file that fails any of this is re-walked line by line, and one
+checker per file kind raises its first fault, in field order, with the
+byte offset of its line.
 
 The writer emits byte-valid files (true byte offsets, trailing
 double-space line endings) and exists so toy fixtures and synthetic
@@ -53,10 +55,11 @@ class WndbFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DataColumns:
-    """A data.<pos> file as columns: one synset per entry, in file order."""
+    """A data.<pos> file as columns: one synset per entry, in file order;
+    of a synset's words only their number is kept."""
 
     offsets: np.ndarray  # int64 synset offsets
-    words: list[tuple[str, ...]]  # lowercased, sense markers stripped
+    words: np.ndarray  # int64 number of words of each synset
     hypernym_child: np.ndarray  # int64 offset of the synset holding the pointer
     hypernym_parent: np.ndarray  # int64 "@"/"@i" target, in file order
 
@@ -113,7 +116,7 @@ _HEX = _Counts(hexdigits, 16, (2,))
 _POINTER_COUNTS = {f"{i:03d}": i for i in range(1000)}  # exactly 3 digits
 _HYPERNYM = frozenset(HYPERNYM_SYMBOLS).__contains__
 _POWERS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
-_BLOCK = 4096  # lines per column block: bounds the token strings held at once
+_BLOCK = 256 << 10  # bytes per column block: bounds the strings held at once
 
 
 def _offset_values(tokens: list[str]) -> np.ndarray | None:
@@ -125,13 +128,6 @@ def _offset_values(tokens: list[str]) -> np.ndarray | None:
         return None
     return (np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 8)
             - 48) @ _POWERS
-
-
-def _strip_marker(word: str) -> str:
-    # Adjective words may carry a syntactic marker suffix such as "(p)".
-    if word.endswith(")") and "(" in word:
-        return word[: word.rindex("(")]
-    return word
 
 
 def _records(data: bytes):
@@ -235,12 +231,12 @@ def _first_fault(data: bytes, pos: str, check) -> NoReturn:
 
 
 def _data_block(lines: list[str], pos: str):
-    """(offsets, words, hypernym child, hypernym parent) of a block of data
-    lines, or None if the fast pass rejects one of them."""
+    """(offsets, word counts, hypernym child, hypernym parent) of a block of
+    data lines, or None if the fast pass rejects one of them."""
     allowed = SS_TYPES[pos]
     verb = pos == "verb"
     offsets: list[str] = []
-    words: list[tuple[str, ...]] = []
+    words: list[int] = []
     symbols: list[str] = []
     targets: list[str] = []
     target_pos: list[str] = []
@@ -253,7 +249,8 @@ def _data_block(lines: list[str], pos: str):
         n = len(t)
         if not sep or n < 7 or t[2] not in allowed:
             return None
-        p_at = 4 + 2 * _HEX[t[3]]
+        w_cnt = _HEX[t[3]]
+        p_at = 4 + 2 * w_cnt
         if p_at < 6 or n <= p_at or t[p_at] not in _POINTER_COUNTS:
             return None
         p_cnt = _POINTER_COUNTS[t[p_at]]
@@ -266,10 +263,7 @@ def _data_block(lines: list[str], pos: str):
         if n != end:
             return None
         offsets.append(t[0])
-        lemmas = t[4:p_at:2]
-        if ")" in head:
-            lemmas = map(_strip_marker, lemmas)
-        words.append(tuple(map(str.lower, lemmas)))
+        words.append(w_cnt)
         if p_cnt:
             symbols += t[p_at + 1:p_end:4]
             targets += t[p_at + 2:p_end:4]
@@ -280,8 +274,8 @@ def _data_block(lines: list[str], pos: str):
     if synsets is None or parents is None or not POINTER_POS.issuperset(target_pos):
         return None
     hypernym = np.fromiter(map(_HYPERNYM, symbols), bool, len(symbols))
-    return (synsets, words, np.repeat(synsets, pointer_counts)[hypernym],
-            parents[hypernym])
+    return (synsets, np.array(words, dtype=np.int64),
+            np.repeat(synsets, pointer_counts)[hypernym], parents[hypernym])
 
 
 def _index_block(lines: list[str], pos: str):
@@ -311,21 +305,26 @@ def _index_block(lines: list[str], pos: str):
 
 
 def _columns(data: bytes, pos: str, block, check) -> list[tuple]:
-    """``block`` of every ``_BLOCK`` lines of a payload; if a block or the
-    decode of a record line is rejected, ``check`` names the first fault."""
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError:  # maybe only in header lines, which are skipped
-        try:
-            lines = [line for _, line in _records(data)]
-        except WndbFormatError:  # a record line: a fault before it comes first
-            _first_fault(data, pos, check)
+    """``block`` of the lines of every run of about ``_BLOCK`` bytes of a
+    payload, cut after a "\n"; if a block or the decode of a record line is
+    rejected, ``check`` names the first fault."""
     blocks = []
-    for start in range(0, len(lines), _BLOCK):
-        columns = block(lines[start:start + _BLOCK], pos)
+    start = 0
+    while not blocks or start < len(data):  # an empty payload is one block
+        end = data.find(b"\n", start + _BLOCK - 1) + 1 or len(data)
+        chunk = data[start:end]
+        try:
+            lines = chunk.decode("utf-8").split("\n")
+        except UnicodeDecodeError:  # maybe only in header lines, which are skipped
+            try:
+                lines = [line for _, line in _records(chunk)]
+            except WndbFormatError:  # a record line: a fault before it comes first
+                _first_fault(data, pos, check)
+        columns = block(lines, pos)
         if columns is None:
             _first_fault(data, pos, check)
         blocks.append(columns)
+        start = end
     return blocks
 
 
@@ -333,7 +332,7 @@ def parse_data(data: bytes, pos: str) -> DataColumns:
     """Parse a data.<pos> payload into columns, validating every field."""
     offsets, words, child, parent = zip(*_columns(data, pos, _data_block,
                                                   _check_data_line))
-    return DataColumns(np.concatenate(offsets), list(chain.from_iterable(words)),
+    return DataColumns(np.concatenate(offsets), np.concatenate(words),
                        np.concatenate(child), np.concatenate(parent))
 
 

@@ -4,8 +4,9 @@ Each part of speech yields one `Taxonomy`, a rooted DAG of synsets under
 hypernym edges.  Synsets without hypernyms are attached to a synthetic
 root at offset 0 so the graph is always connected and cross-branch paths
 exist.  The graph is held once, as numpy arrays over dense synset ids:
-CSR parent and child adjacency and a CSR ancestor closure.  Synset
-offsets appear only at the public boundary.  On top of the taxonomy sit
+CSR parent and child adjacency and a CSR ancestor closure; the lemma
+index maps each lemma to a CSR row of dense ids.  Synset offsets appear
+only at the public boundary.  On top of the taxonomy sit
 two semantic distances between lemmas:
 
 - `shortest_path`: fewest taxonomy edges, traversable both up (toward
@@ -53,20 +54,20 @@ class IcCountsError(ValueError):
 class Taxonomy:
     """Rooted hypernym DAG for one part of speech.
 
-    ``synsets`` maps each synset offset to its lemma tuple.  The graph is
-    held over dense ids, a synset's rank in offset order (the root is id 0),
-    as CSR pairs ``(indptr, indices)`` whose row d lists, ascending, the
-    parents, children or subsumers of d.  Methods take and return offsets;
-    one that is neither a synset nor `ROOT` raises `KeyError`.
+    The graph is held over dense ids, a synset's rank in offset order (the
+    root is id 0), as CSR pairs ``(indptr, indices)`` whose row d lists,
+    ascending, the parents, children or subsumers of d.  The lemma index is
+    one dict from lowercased lemma to row and a CSR pair whose row lists
+    the lemma's synsets as ascending dense ids.  Methods take and return
+    offsets; one that is neither a synset nor `ROOT` raises `KeyError`.
     """
 
-    __slots__ = ("pos", "synsets", "_lemma_index", "_ids", "_up", "_down",
+    __slots__ = ("pos", "_lemmas", "_senses", "_ids", "_up", "_down",
                  "_closure")
 
-    def __init__(self, pos, synsets, lemma_index, ids, up, down, closure):
+    def __init__(self, pos, lemmas, senses, ids, up, down, closure):
         self.pos = pos
-        self.synsets = synsets
-        self._lemma_index = lemma_index
+        self._lemmas, self._senses = lemmas, senses  # lemma -> row, CSR of synsets
         self._ids = ids  # offset of each dense id, ascending, ROOT first
         self._up, self._down = up, down  # parents, children
         self._closure = closure  # subsumers, the id itself and the root included
@@ -92,27 +93,25 @@ class Taxonomy:
         parent = [p for o in offsets for p in hypernyms.get(o, ())]
         data = DataColumns(
             np.array(offsets, dtype=np.int64),
-            [tuple(str(w).lower() for w in synsets[o]) for o in offsets],
+            np.array([len(synsets[o]) for o in offsets], dtype=np.int64),
             np.array(child, dtype=np.int64), np.array(parent, dtype=np.int64))
-        index = None
-        if lemma_index is not None:
-            entries = [(str(lemma).lower(), list(offs))
-                       for lemma, offs in lemma_index.items()]
-            index = IndexColumns(
-                [key for key, _ in entries],
-                np.array([len(offs) for _, offs in entries], dtype=np.int64),
-                np.array([o for _, offs in entries for o in offs],
-                         dtype=np.int64))
+        entries = [(str(lemma).lower(), list(offs)) for lemma, offs in (
+            lemma_index.items() if lemma_index is not None
+            else ((w, [o]) for o in offsets for w in synsets[o]))]
+        index = IndexColumns(
+            [key for key, _ in entries],
+            np.array([len(offs) for _, offs in entries], dtype=np.int64),
+            np.array([o for _, offs in entries for o in offs], dtype=np.int64))
         return cls.from_columns(pos, data, index)
 
     @classmethod
     def from_columns(cls, pos: str, data: DataColumns,
-                     index: IndexColumns | None = None) -> "Taxonomy":
+                     index: IndexColumns) -> "Taxonomy":
         """Construct and validate a taxonomy from parsed WNdb columns.
 
         Of several faults, the first of these is reported: a duplicate
-        offset, the first in file order; a reserved offset or an empty
-        lemma tuple, the smallest offset; a self-loop or a missing
+        offset, the first in file order; a reserved offset or a synset
+        without words, the smallest offset; a self-loop or a missing
         hypernym, on the smallest (synset, hypernym) offsets; an empty or
         synset-less index entry, the first; a missing synset in the index,
         the smallest under the first lemma; a hypernym cycle.
@@ -127,10 +126,7 @@ class Taxonomy:
             first = order[repeated + 1].min()
             raise TaxonomyStructureError(
                 f"duplicate synset offset {file_order[first]:08d}")
-        words = [data.words[i] for i in order.tolist()]
-        bare = np.flatnonzero((offs == ROOT)
-                              | (np.fromiter(map(len, words), np.int64,
-                                             len(words)) == 0))
+        bare = np.flatnonzero((offs == ROOT) | (data.words[order] == 0))
         if len(bare):
             offset = int(offs[bare[0]])
             if offset == ROOT:
@@ -163,9 +159,8 @@ class Taxonomy:
         up = (np.searchsorted(child, rows), parent)
         down = (np.searchsorted(parent[by_parent], rows), child[by_parent])
 
-        lemma_index = _lemma_index(ids, words, index)
-        return cls(pos, dict(zip(offs.tolist(), words)), lemma_index, ids,
-                   up, down, _closure(ids, up, down))
+        lemmas, senses = _lemma_index(ids, index)
+        return cls(pos, lemmas, senses, ids, up, down, _closure(ids, up, down))
 
     def _dense(self, offsets) -> np.ndarray:
         """Dense ids of offsets known to be synsets, unchecked."""
@@ -178,7 +173,12 @@ class Taxonomy:
 
     @property
     def num_synsets(self) -> int:
-        return len(self.synsets)
+        return len(self._ids) - 1
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """The synset offsets, ascending, `ROOT` excluded."""
+        return self._ids[1:]
 
     @property
     def hypernym_edge_count(self) -> int:
@@ -186,24 +186,32 @@ class Taxonomy:
 
     @property
     def lemmas(self):
-        return self._lemma_index.keys()
+        return self._lemmas.keys()
 
     def has_lemma(self, lemma: str) -> bool:
-        return lemma.lower() in self._lemma_index
+        return lemma.lower() in self._lemmas
+
+    def has_synset(self, offset: int) -> bool:
+        """Whether ``offset`` is a synset; `ROOT` is not."""
+        try:
+            return _dense_id(self._ids, offset) != ROOT
+        except KeyError:
+            return False
 
     def synsets_of(self, lemma: str) -> tuple[int, ...]:
-        offs = self._lemma_index.get(lemma.lower())
-        if offs is None:
+        row = self._lemmas.get(lemma.lower())
+        if row is None:
             raise UnknownLemmaError(lemma, self.pos)
-        return offs
+        indptr, senses = self._senses
+        return tuple(self._ids[senses[indptr[row]:indptr[row + 1]]].tolist())
 
     def match_lemma(self, tag: str) -> str | None:
         """Index key for a tag, trying hyphen-to-underscore as a fallback."""
         candidate = tag.lower()
-        if candidate in self._lemma_index:
+        if candidate in self._lemmas:
             return candidate
         joined = candidate.replace("-", "_")
-        if joined != candidate and joined in self._lemma_index:
+        if joined != candidate and joined in self._lemmas:
             return joined
         return None
 
@@ -226,21 +234,6 @@ def _dense_id(ids: np.ndarray, offset: int) -> int:
     return d
 
 
-def _runs(groups: np.ndarray, values: np.ndarray) -> list[tuple]:
-    """The value tuple of each run of equal, sorted ``groups``."""
-    if not len(groups):
-        return []
-    firsts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
-    vals = values.tolist()
-    tuples = list(zip(values[firsts].tolist()))
-    # Most runs hold one value; rebuild only the longer ones.
-    bounds = np.r_[firsts, len(groups)]
-    ends = bounds.tolist()
-    for run in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        tuples[run] = tuple(vals[ends[run]:ends[run + 1]])
-    return tuples
-
-
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     # np.unique would do, but at these sizes it is many times slower.
     keys = np.sort(keys)
@@ -253,27 +246,20 @@ def _lookup(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dense, ids[dense] == offsets
 
 
-def _lemma_index(ids: np.ndarray, words: list[tuple[str, ...]],
-                 index: IndexColumns | None) -> dict[str, tuple[int, ...]]:
-    """Lemma -> ascending synset offsets, from an index or from the synsets'
-    own lemmas.  Index entries whose keys are equal are merged."""
-    if index is None:
-        lemmas = [lemma for ws in words for lemma in ws]
-        offsets = np.repeat(ids[1:], np.fromiter(map(len, words), np.int64,
-                                                 len(words)))
-    else:
-        lemmas, offsets = index.lemmas, index.offsets
-        if "" in lemmas or not index.counts.all():
-            for lemma, count in zip(lemmas, index.counts.tolist()):
-                if not lemma:
-                    raise TaxonomyStructureError("empty lemma in index")
-                if not count:
-                    raise TaxonomyStructureError(
-                        f"lemma {lemma!r} maps to no synsets")
+def _lemma_index(ids: np.ndarray, index: IndexColumns):
+    """(lemma -> row, CSR (indptr, ascending dense ids)) of an index.
+    Index entries whose keys are equal are merged."""
+    lemmas, offsets = index.lemmas, index.offsets
+    if "" in lemmas or not index.counts.all():
+        for lemma, count in zip(lemmas, index.counts.tolist()):
+            if not lemma:
+                raise TaxonomyStructureError("empty lemma in index")
+            if not count:
+                raise TaxonomyStructureError(
+                    f"lemma {lemma!r} maps to no synsets")
     keys = dict(zip(dict.fromkeys(lemmas), itertools.count()))
-    key_ids = np.fromiter(map(keys.__getitem__, lemmas), np.int64, len(lemmas))
-    if index is not None:
-        key_ids = np.repeat(key_ids, index.counts)
+    key_ids = np.repeat(np.fromiter(map(keys.__getitem__, lemmas), np.int64,
+                                    len(lemmas)), index.counts)
     dense, found = _lookup(ids, offsets)
     found &= offsets != ROOT
     if not found.all():
@@ -283,7 +269,8 @@ def _lemma_index(ids: np.ndarray, words: list[tuple[str, ...]],
         raise TaxonomyStructureError(
             f"lemma {name!r} references missing synset {offsets[first]:08d}")
     pairs = _sorted_unique(key_ids * len(ids) + dense)
-    return dict(zip(keys, _runs(pairs // len(ids), ids[pairs % len(ids)])))
+    indptr = np.searchsorted(pairs // len(ids), np.arange(len(keys) + 1))
+    return keys, (indptr, pairs % len(ids))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -549,17 +536,17 @@ def ic_from_counts(
         count = float(count)
         if count < 0:
             raise IcCountsError(f"negative count for lemma {lemma!r}")
-        offs = tax._lemma_index.get(str(lemma).lower())
-        if not offs:
+        if not tax.has_lemma(str(lemma)):
             skipped += 1
             continue
+        offs = tax.synsets_of(str(lemma))
         targets += offs
         masses += [count / len(offs)] * len(offs)
     for offset, count in (synset_counts or {}).items():
         count = float(count)
         if count < 0:
             raise IcCountsError(f"negative count for synset {offset:08d}")
-        if offset not in tax.synsets:
+        if not tax.has_synset(offset):
             skipped += 1
             continue
         targets.append(offset)

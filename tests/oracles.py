@@ -14,6 +14,7 @@ from collections import deque
 from string import hexdigits
 
 import numpy as np
+from scipy import sparse
 
 from folkrel.core import Folksonomy, TagStats, normalize_tag
 from folkrel.folkrank import RankVector
@@ -202,6 +203,17 @@ def cooccurrence_counts(f):
     return counts
 
 
+def sparse_cooccurrence(f):
+    """(X, squared row norms) by the sparse-matrix formulas that the masked
+    diagonal drop and the per-row sum of squared entries replaced."""
+    counts = f.incidence.T @ f.incidence
+    matrix = (counts - sparse.diags(counts.diagonal(), dtype=np.int64)).tocsr()
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    norm_sq = np.asarray(matrix.multiply(matrix).sum(axis=1), dtype=np.int64).ravel()
+    return matrix, norm_sq
+
+
 def dense_cosine(f, t1, t2):
     """Cosine from full dense context vectors with a zero self-coordinate."""
     counts = cooccurrence_counts(f)
@@ -224,7 +236,7 @@ def dense_cosine(f, t1, t2):
 def taxonomy_distance(tax, lemma1, lemma2):
     """Shortest-path length by plain BFS on the undirected edge set."""
     edges: dict[int, set[int]] = {}
-    for node in tax.synsets:
+    for node in tax.offsets.tolist():
         for parent in tax.parents(node):
             edges.setdefault(node, set()).add(parent)
             edges.setdefault(parent, set()).add(node)
@@ -410,12 +422,6 @@ def _parse_offset(token, at, what):
     return int(token)
 
 
-def _strip_marker(word):
-    if word.endswith(")") and "(" in word:
-        return word[: word.rindex("(")]
-    return word
-
-
 def parse_data_records(data, pos):
     """[(offset, words, hypernym targets)] of a data.<pos> payload."""
     allowed = SS_TYPES[pos]
@@ -455,7 +461,7 @@ def parse_data_records(data, pos):
             raise WndbFormatError("synset must carry at least one word", at)
         words = []
         for _ in range(w_cnt):
-            words.append(_strip_marker(take("word")).lower())
+            words.append(take("word").lower())
             take("lex id")
         p_cnt_token = take("pointer count")
         if len(p_cnt_token) != 3 or not _ascii_digits(p_cnt_token):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import gc
 import io
 import math
+import random
+import tracemalloc
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from folkrel import wndb
 from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
                           render_database, write_database)
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
@@ -40,7 +46,7 @@ def test_parse_round_trip_structure():
     assert len(data.offsets) == len(T1_SPECS)
     assert set(index) == {"entity", "animal", "artifact", "dog", "cat", "car"}
     dog = data.offsets.tolist().index(index["dog"])
-    assert data.words[dog] == ("dog",)
+    assert data.words[dog] == 1
     assert list(zip(data.hypernym_child.tolist(), data.hypernym_parent.tolist())) \
         == [(index[child], index[parent]) for child, parent in (
             ("animal", "entity"), ("artifact", "entity"), ("dog", "animal"),
@@ -52,7 +58,7 @@ def test_data_record_keeps_only_hypernym_targets_in_file_order():
             b"@i 00000100 n 0000 @ 00000200 n 0000 | g  \n")
     data = parse_data(line, "noun")
     assert data.offsets.tolist() == [11]
-    assert data.words == [("w",)]
+    assert data.words.tolist() == [1]
     assert data.hypernym_child.tolist() == [11, 11, 11]
     assert data.hypernym_parent.tolist() == [300, 100, 200]
 
@@ -62,13 +68,7 @@ def test_header_lines_skipped():
     assert data_bytes.startswith(b"  ")
     data = parse_data(b"  1 license text\n  2 more\n", "noun")
     assert len(data.offsets) == len(data.hypernym_child) == 0
-    assert data.words == []
-
-
-def test_adjective_sense_markers_stripped():
-    specs = [SynsetSpec("only", ("galore(ip)",))]
-    index_bytes, data_bytes = render_database(specs, "adj")
-    assert parse_data(data_bytes, "adj").words == [("galore",)]
+    assert data.words.tolist() == []
 
 
 def test_data_parse_errors_carry_byte_offset():
@@ -80,7 +80,7 @@ def test_data_parse_errors_carry_byte_offset():
     assert "gloss" in str(err.value)
 
 
-@pytest.mark.parametrize("line,fragment", [
+MALFORMED_DATA = [
     (b"0000000x 03 n 01 w 0 000 | g  \n", "synset offset"),
     (b"00000011 03 z 01 w 0 000 | g  \n", "synset type"),
     (b"00000011 03 n 00 000 | g  \n", "at least one word"),
@@ -95,7 +95,10 @@ def test_data_parse_errors_carry_byte_offset():
     ("00000011 03 n 01 w 0 00\u00b2 | g  \n".encode(), "pointer count"),
     ("00000011 03 n 01 w 0 001 @ 0000000\u0661 n 0000 | g  \n".encode(),
      "pointer offset"),
-])
+]
+
+
+@pytest.mark.parametrize("line,fragment", MALFORMED_DATA)
 def test_data_parse_rejects_malformed_records(line, fragment):
     with pytest.raises(WndbFormatError) as err:
         parse_data(line, "noun")
@@ -138,19 +141,71 @@ def test_index_parse_rejects_truncated_line():
         parse_index(b"dog n 2 0 2 0 00000011  \n", "noun")
 
 
-@pytest.mark.parametrize("line,fragment", [
+MALFORMED_INDEX = [
     ("dog n \u0661 0 1 0 00000011  \n", "bad synset or pointer count"),
     ("dog n 1 \u00b2 1 0 00000011  \n", "bad synset or pointer count"),
     ("dog n 1_0 0 1 0 00000011  \n", "bad synset or pointer count"),
     ("dog n +1 0 1 0 00000011  \n", "bad synset or pointer count"),
     ("dog n 1 0 1 0 0000001\u00b2  \n", "bad index offset"),
     ("dog n 2 0 2 0 00000011 0000011  \n", "bad index offset"),
-])
+]
+
+
+@pytest.mark.parametrize("line,fragment", MALFORMED_INDEX)
 def test_index_parse_rejects_malformed_counts_and_offsets(line, fragment):
     with pytest.raises(WndbFormatError) as err:
         parse_index(line.encode(), "noun")
     assert fragment in str(err.value)
     assert str(err.value).startswith("byte 0: ")
+
+
+# -- byte blocks ---------------------------------------------------------
+
+def parsed(parse, payload, pos):
+    """Every column of a parse as lists, or its fault's message and offset."""
+    try:
+        columns = parse(payload, pos)
+    except WndbFormatError as exc:
+        return str(exc), exc.byte_offset
+    return [np.asarray(getattr(columns, f.name)).tolist() for f in fields(columns)]
+
+
+def block_payloads():
+    """(parser, payload, pos) cases: the fixture files, a record longer
+    than a block, files without a trailing newline, empty payloads, a
+    non-UTF-8 header line after some records, and each malformed line
+    after valid records."""
+    big = SynsetSpec("big", tuple(f"word{i}" for i in range(40)), ("entity",))
+    index_bytes, data_bytes = render_database(T1_SPECS + (big,), "noun")
+    assert max(map(len, data_bytes.split(b"\n"))) > 256
+    cases = [(parse_data, (FIXTURE_DIR / "wndb" / "data.noun").read_bytes()),
+             (parse_index, (FIXTURE_DIR / "wndb" / "index.noun").read_bytes())]
+    for parse, payload in ((parse_data, data_bytes), (parse_index, index_bytes)):
+        rows = payload.split(b"\n")
+        cases += [(parse, payload), (parse, payload.rstrip(b" \n")), (parse, b""),
+                  (parse, b"\n".join(rows[:5] + [b" \xa9 header"] + rows[5:]))]
+    cases += [(parse_data, data_bytes + line) for line, _ in MALFORMED_DATA]
+    cases += [(parse_data, data_bytes + b"00000011 03 n 01 w\xff 0 000 | g  \n")]
+    cases += [(parse_index, index_bytes + line.encode()) for line, _ in MALFORMED_INDEX]
+    return [(parse, payload, "noun") for parse, payload in cases]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_byte_blocks_parse_like_one_block(monkeypatch, block):
+    cases = block_payloads()
+    want = [parsed(*case) for case in cases]
+    monkeypatch.setattr(wndb, "_BLOCK", block)
+    assert [parsed(*case) for case in cases] == want
+    # Invalid UTF-8 in a header line takes the per-line path and parses.
+    late_header = [(parse, payload, pos) for parse, payload, pos in cases
+                   if b"\xa9" in payload]
+    assert len(late_header) == 2
+    for parse, payload, pos in late_header:
+        assert parsed(parse, payload, pos) == \
+            parsed(parse, payload.replace(b" \xa9 header\n", b""), pos)
+    faults = [w for w in want if isinstance(w, tuple)]
+    assert len(faults) == len(MALFORMED_DATA) + len(MALFORMED_INDEX) + 1
+    assert all(at > 0 for _, at in faults)
 
 
 # -- taxonomy structure --------------------------------------------------
@@ -258,6 +313,34 @@ def test_load_wordnet_dir_rejects_a_lone_optional_file(tmp_path, lone, missing):
     with pytest.raises(FileNotFoundError,
                        match=f"missing {missing} next to {lone}"):
         load_wordnet_dir(tmp_path)
+
+
+def test_loaded_taxonomy_holds_few_bytes_per_synset(tmp_path):
+    # 20k synsets, 1.3 lemmas each from 24k names, 1.25 parents each.  The
+    # traced bytes still held per synset after the load: 505 when the
+    # taxonomy kept a lemma tuple per synset and an offset tuple per lemma,
+    # 269 with the lemma index as one dict over a CSR of dense ids.
+    rng = random.Random("taxonomy memory")
+    n = 20_000
+    specs = [SynsetSpec(f"s{i}", tuple(f"lemma{rng.randrange(24_000)}"
+                                       for _ in range(rng.choice((1, 1, 2)))),
+                        tuple(f"s{p}" for p in {rng.randrange(i) for _ in
+                                                range(rng.choice((1, 1, 1, 2)))})
+                        if i else ())
+             for i in range(n)]
+    index_path, data_path = write_database(specs, "noun", tmp_path)
+    del specs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tax = load_taxonomy(index_path, data_path, "noun")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tax.num_synsets == n
+    assert held / n < 390
 
 
 # -- shortest paths ------------------------------------------------------
