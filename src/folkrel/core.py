@@ -53,10 +53,15 @@ class Folksonomy:
     is user ``post_users[i]``'s tag set on resource ``post_resources[i]``,
     row i of the post×tag 0/1 CSR ``incidence``; each of its entries is one
     assignment (user, tag, resource).
+
+    The corpus is the one tag table: ``tag_id`` and ``has_tag`` look tags
+    up, and ``tag_rank`` holds each tag id's position in string order, so
+    sorting ids by it sorts them as their strings.  The graphs built from
+    a corpus read tags through it.
     """
 
     __slots__ = ("users", "tags", "resources", "post_users", "post_resources",
-                 "incidence", "_tag_ids")
+                 "incidence", "tag_rank", "_tag_ids")
 
     def __init__(self, users: tuple[str, ...], tags: tuple[str, ...],
                  resources: tuple[str, ...], post_users: np.ndarray,
@@ -70,8 +75,11 @@ class Folksonomy:
         self.incidence = sparse.csr_matrix(
             (np.ones(len(indices), dtype=np.int64), indices, indptr),
             shape=(len(post_users), len(tags)))
+        # The inverse of the ids in string order: each id's position in it.
+        self.tag_rank = np.argsort(sorted(range(len(tags)), key=tags.__getitem__))
         for array in (post_users, post_resources, self.incidence.indptr,
-                      self.incidence.indices, self.incidence.data):
+                      self.incidence.indices, self.incidence.data,
+                      self.tag_rank):
             array.flags.writeable = False
         self._tag_ids = {t: i for i, t in enumerate(tags)}
 
@@ -99,8 +107,9 @@ class Folksonomy:
             rows[key] = rows.get(key, ()) + tids
 
         # Rows list tags in frozenset(set(ids)) order, as posts once held
-        # them: restriction numbers tags by first appearance in the rows and
-        # FolkRank sums in node-id order, so this order fixes its last bits.
+        # them: restriction numbers tags by first appearance in the rows, and
+        # FolkRank sums each transition row in descending node-id order, so
+        # this order fixes its last bits.
         indptr = np.cumsum([0, *map(len, map(set, rows.values()))], dtype=np.int64)
         indices = np.fromiter(
             chain.from_iterable(map(frozenset, map(set, rows.values()))),
@@ -218,12 +227,18 @@ def serialize_posts(f: Folksonomy) -> str:
     return "".join(f"{u}\t{r}\t{t}\n" for u, r, t in lines)
 
 
+def _by_frequency(f: Folksonomy) -> tuple[np.ndarray, np.ndarray]:
+    """(post count per tag id, tag ids by count descending, then string)."""
+    counts = np.bincount(f.incidence.indices, minlength=f.num_tags)
+    return counts, np.lexsort((f.tag_rank, -counts))
+
+
 def tag_stats(f: Folksonomy) -> list[TagStats]:
     """Per-tag post counts, descending; ties broken lexicographically."""
-    counts = np.bincount(f.incidence.indices, minlength=f.num_tags).tolist()
-    order = sorted(range(f.num_tags), key=lambda tid: (-counts[tid], f.tags[tid]))
+    counts, order = _by_frequency(f)
+    counts = counts.tolist()
     return [TagStats(tag=f.tags[tid], frequency=counts[tid], rank=pos + 1)
-            for pos, tid in enumerate(order)]
+            for pos, tid in enumerate(order.tolist())]
 
 
 def _first_seen(ids: np.ndarray, names: tuple[str, ...]) -> tuple[tuple, np.ndarray]:
@@ -246,8 +261,9 @@ def restrict_to_top_tags(f: Folksonomy, k: int) -> Folksonomy:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    top = {s.tag for s in tag_stats(f)[:k]}
-    mask = np.array([t in top for t in f.tags], dtype=bool)[f.incidence.indices]
+    top = np.zeros(f.num_tags, dtype=bool)
+    top[_by_frequency(f)[1][:k]] = True
+    mask = top[f.incidence.indices]
     rows = np.repeat(np.arange(f.num_posts), np.diff(f.incidence.indptr))[mask]
     alive, sizes = np.unique(rows, return_counts=True)
     users, post_users = _first_seen(f.post_users[alive], f.users)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import Folksonomy, UnknownTagError, normalize_tag
+from .core import Folksonomy
 
 
 @dataclass(frozen=True)
@@ -47,48 +47,28 @@ class RelatedList:
         return tuple(it.tag for it in self.items)
 
 
-def string_rank(names) -> np.ndarray:
-    """Position of each name in lexicographic order, as an index array.
-
-    Sorting by this rank orders indices exactly as sorting by the strings.
-    """
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[order] = np.arange(len(names))
-    return rank
-
-
 class CoGraph:
     """Sparse symmetric tag co-occurrence graph with cached vector norms.
 
-    ``matrix`` is the int64 CSR matrix X; ``norm_sq`` holds the int64
-    squared row norms and ``norms`` their float64 square roots.
+    ``matrix`` is the int64 CSR matrix X over the tag ids of ``corpus``,
+    the folksonomy it was built from, whose tag table (names, lookup and
+    string order) the queries read through ``graph.corpus``; ``norm_sq``
+    holds the int64 squared row norms and ``norms`` their float64 square
+    roots.
     """
 
-    __slots__ = ("tags", "_tag_ids", "matrix", "norm_sq", "norms", "tag_rank")
+    __slots__ = ("corpus", "matrix", "norm_sq", "norms")
 
-    def __init__(self, tags: tuple[str, ...], matrix: sparse.csr_matrix):
-        self.tags = tags
-        self._tag_ids = {t: i for i, t in enumerate(tags)}
+    def __init__(self, corpus: Folksonomy, matrix: sparse.csr_matrix):
+        self.corpus = corpus
         self.matrix = matrix
         # Squared entries summed per row with no matrix copy: reduceat sums
         # each non-empty row up to the start of the next one.
         starts, filled = matrix.indptr[:-1], np.diff(matrix.indptr) > 0
-        self.norm_sq = np.zeros(len(tags), dtype=np.int64)
+        self.norm_sq = np.zeros(corpus.num_tags, dtype=np.int64)
         self.norm_sq[filled] = np.add.reduceat(matrix.data * matrix.data,
                                                starts[filled])
         self.norms = np.sqrt(self.norm_sq)
-        self.tag_rank = string_rank(tags)
-
-    @property
-    def num_tags(self) -> int:
-        return len(self.tags)
-
-    def tag_id(self, tag: str) -> int:
-        tid = self._tag_ids.get(normalize_tag(tag))
-        if tid is None:
-            raise UnknownTagError(tag)
-        return tid
 
     def row(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted neighbor ids and their weights for one tag."""
@@ -107,7 +87,7 @@ class CoGraph:
 
     def weight(self, t1: str, t2: str) -> int:
         """Stored post count for the pair; 0 when absent (and for t1 == t2)."""
-        return int(self.matrix[self.tag_id(t1), self.tag_id(t2)])
+        return int(self.matrix[self.corpus.tag_id(t1), self.corpus.tag_id(t2)])
 
     def edge_count(self) -> int:
         return self.matrix.nnz // 2
@@ -129,25 +109,26 @@ def build_cooccurrence(f: Folksonomy) -> CoGraph:
     del keep
     matrix = sparse.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
     del data, indices
-    return CoGraph(f.tags, matrix)
+    return CoGraph(f, matrix)
 
 
 def _ranked(g, ids: np.ndarray, scores: np.ndarray, k: int | None = None):
-    """RelatedTags for ``ids`` by score descending, then tag string.
+    """RelatedTags for tag ids ``ids`` by score descending, then tag string.
 
-    ``g`` is any graph with ``tags`` and their ``tag_rank``: a CoGraph or
-    a FolkGraph."""
-    order = np.lexsort((g.tag_rank[ids], -scores))[:k]
-    return tuple(RelatedTag(g.tags[i], s) for i, s in
+    ``g`` is a CoGraph or a FolkGraph; names and string order come from
+    the tag table of its corpus, ``g.corpus``."""
+    f = g.corpus
+    order = np.lexsort((f.tag_rank[ids], -scores))[:k]
+    return tuple(RelatedTag(f.tags[i], s) for i, s in
                  zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def freq_relatedness(g: CoGraph, tag: str) -> RelatedList:
     """All co-occurring tags of ``tag``, by weight descending."""
-    tid = g.tag_id(tag)
+    tid = g.corpus.tag_id(tag)
     cols, weights = g.row(tid)
     items = _ranked(g, cols, weights.astype(np.float64))
-    return RelatedList(source=g.tags[tid], items=items)
+    return RelatedList(source=g.corpus.tags[tid], items=items)
 
 
 def cosine_similarity(g: CoGraph, t1: str, t2: str) -> float:
@@ -156,7 +137,7 @@ def cosine_similarity(g: CoGraph, t1: str, t2: str) -> float:
     Tags with an empty co-occurrence profile have similarity 0 with
     everything (including themselves).
     """
-    i, j = g.tag_id(t1), g.tag_id(t2)
+    i, j = g.corpus.tag_id(t1), g.corpus.tag_id(t2)
     denom = g.norms[i] * g.norms[j]
     if denom == 0.0:
         return 0.0
@@ -173,9 +154,10 @@ def cosine_relatedness(g: CoGraph, tag: str, k: int) -> RelatedList:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tid = g.tag_id(tag)
+    tid = g.corpus.tag_id(tag)
     dots = g.dots(tid)
     dots[tid] = 0
     cands = np.flatnonzero(dots)
     scores = np.minimum(1.0, dots[cands] / (g.norms[tid] * g.norms[cands]))
-    return RelatedList(source=g.tags[tid], items=_ranked(g, cands, scores, k))
+    return RelatedList(source=g.corpus.tags[tid],
+                       items=_ranked(g, cands, scores, k))

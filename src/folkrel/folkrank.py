@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import Folksonomy, UnknownTagError, normalize_tag
-from .distributional import RelatedList, RelatedTag, _ranked, string_rank
+from .core import Folksonomy
+from .distributional import RelatedList, RelatedTag, _ranked
 
 KIND_USER = "user"
 KIND_TAG = "tag"
@@ -64,25 +64,28 @@ class RankVector:
 class FolkGraph:
     """Folded folksonomy graph: nodes are users, tags and resources.
 
-    Node indices are laid out as [users | tags | resources]; the tag block
-    shares the tag order of the source folksonomy.
+    Node indices are laid out as [users | tags | resources] in the id
+    order of ``corpus``, the folksonomy the graph was built from; tags are
+    looked up and string-ordered through its tag table, ``graph.corpus``.
+    ``users``, ``tags`` and ``resources`` are the corpus's name tuples.
     """
 
-    __slots__ = ("users", "tags", "resources", "_tag_ids", "tag_rank",
-                 "adjacency", "degrees", "_transition")
+    __slots__ = ("corpus", "users", "tags", "resources", "adjacency",
+                 "degrees", "_transition")
 
-    def __init__(self, users, tags, resources, adjacency: sparse.csr_matrix):
-        self.users = users
-        self.tags = tags
-        self.resources = resources
-        self._tag_ids = {t: i for i, t in enumerate(tags)}
-        self.tag_rank = string_rank(tags)
+    def __init__(self, corpus: Folksonomy, adjacency: sparse.csr_matrix):
+        self.corpus = corpus
+        self.users, self.tags, self.resources = (corpus.users, corpus.tags,
+                                                 corpus.resources)
         self.adjacency = adjacency
         degrees = np.asarray(adjacency.sum(axis=0)).ravel()
         if (degrees <= 0).any():
             raise ValueError("every node must have positive weighted degree")
         self.degrees = degrees
-        # Column-stochastic transition matrix, built once.
+        # Column-stochastic transition matrix, built once.  scipy's product
+        # leaves every row in descending column order, and the walks sum
+        # each row in that order: sorting the indices would move the last
+        # bits of the weights and change the golden report bytes.
         self._transition = (adjacency @ sparse.diags(1.0 / degrees)).tocsr()
 
     @property
@@ -112,10 +115,7 @@ class FolkGraph:
         return self.resources[node - self.resource_offset]
 
     def tag_node(self, tag: str) -> int:
-        tid = self._tag_ids.get(normalize_tag(tag))
-        if tid is None:
-            raise UnknownTagError(tag)
-        return self.tag_offset + tid
+        return self.tag_offset + self.corpus.tag_id(tag)
 
     def uniform_preference(self) -> np.ndarray:
         n = self.num_nodes
@@ -154,7 +154,7 @@ def build_folkgraph(f: Folksonomy) -> FolkGraph:
         (np.concatenate([w, w]), (np.concatenate([src, dst]),
                                   np.concatenate([dst, src]))), shape=(n, n)
     ).tocsr()
-    return FolkGraph(f.users, f.tags, f.resources, adjacency)
+    return FolkGraph(f, adjacency)
 
 
 def _walk(g: FolkGraph, prefs: np.ndarray, damping: float, tol: float,

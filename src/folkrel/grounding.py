@@ -54,8 +54,9 @@ EDGE_PATTERNS = {
 RANK_BUCKETS = 50
 # FolkRank top lists walk this many query tags at once, fewer when one
 # n×block float64 block of the folded graph would pass QUERY_BLOCK_BYTES.
-# Both were the fastest in a sweep over graphs of 4k to 157k nodes; wider
-# blocks lost once a block grew past about 15 MB.
+# B = 16 was the fastest on the bench graphs (4.2k-4.4k nodes); on an
+# 88.8k-node paper-scale probe B = 8 beat it.  Both stay until they are
+# measured on a paper-scale workload.
 QUERY_BLOCK = 16
 QUERY_BLOCK_BYTES = 12 << 20
 

@@ -11,12 +11,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
-
-# The process umask, read once; os.umask can only be read by setting it.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 
 
 def fmt6(value: float | None) -> str:
@@ -35,13 +31,12 @@ def atomic_write_with(path, writer) -> None:
     into place; if the writer raises, the temporary file is removed and any
     existing ``path`` is left untouched."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                               suffix=".tmp")
-    os.close(fd)
+    # Created as open() creates a file, so its mode follows the umask in
+    # force at the call; O_EXCL makes a name collision fail, not share.
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         writer(tmp)
-        # mkstemp creates the file 0600; give it the mode open() would.
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

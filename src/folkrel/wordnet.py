@@ -330,12 +330,13 @@ def load_taxonomy(index_path, data_path, pos: str) -> Taxonomy:
     return Taxonomy.from_columns(pos, data, index)
 
 
-def load_wordnet_dir(directory, required: Sequence[str] = ("noun",)) -> dict[str, Taxonomy]:
+def load_wordnet_dir(directory) -> dict[str, Taxonomy]:
     """Load every part of speech present in a WNdb directory.
 
-    Parts of speech listed in ``required`` must be present; the rest are
-    loaded when their files exist.  A lone ``index.<pos>`` or
-    ``data.<pos>`` raises ``FileNotFoundError`` naming its missing partner.
+    The noun database must be present; the other parts of speech are
+    loaded when their files exist.  A missing noun database, or a lone
+    ``index.<pos>`` or ``data.<pos>``, raises ``FileNotFoundError`` naming
+    what is missing.
     """
     directory = Path(directory)
     taxonomies: dict[str, Taxonomy] = {}
@@ -350,7 +351,7 @@ def load_wordnet_dir(directory, required: Sequence[str] = ("noun",)) -> dict[str
                                 else (index_path, data_path))
             raise FileNotFoundError(
                 f"missing {missing.name} next to {present.name} in {directory}")
-        elif pos in required:
+        elif pos == "noun":
             raise FileNotFoundError(
                 f"missing {index_path.name} or {data_path.name} in {directory}")
     return taxonomies

@@ -134,6 +134,6 @@ def test_from_posts_deduplicates_tags_within_post():
 def test_corpus_arrays_are_read_only(f1):
     for f in (f1, restrict_to_top_tags(f1, 2)):
         for array in (f.post_users, f.post_resources, f.incidence.indptr,
-                      f.incidence.indices, f.incidence.data):
+                      f.incidence.indices, f.incidence.data, f.tag_rank):
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -335,12 +335,19 @@ def test_array_corpus_matches_dict_corpus(records, k):
     f = Folksonomy.from_posts((u, r, iter(tags)) for u, r, tags in records)
     ref = oracles.DictFolksonomy.from_posts(records)
     assert_same_corpus(f, ref)
+    assert [f.tags[t] for t in np.argsort(f.tag_rank)] == sorted(f.tags)
+    # Both graphs read the corpus's own tag table.
+    assert build_cooccurrence(f).corpus is f
+    if f.num_assignments:
+        assert build_folkgraph(f).corpus is f
     # Parsed rows list each post's tags in its frozenset's order.
     assert list(oracles.post_rows(f).values()) == list(map(tuple, ref.posts.values()))
     for cut in sorted({1, 2, k, f.num_tags, f.num_tags + 1} - {0}):
         restricted = restrict_to_top_tags(f, cut)
         ref_restricted = oracles.dict_restrict(ref, cut)
         assert_same_corpus(restricted, ref_restricted)
+        assert [restricted.tags[t] for t in np.argsort(restricted.tag_rank)] \
+            == sorted(restricted.tags)
         # Restricted rows keep the surviving tags in their parsed order.
         kept = set(restricted.tags)
         assert [[restricted.tags[t] for t in row]

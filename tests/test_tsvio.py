@@ -48,9 +48,16 @@ def test_concurrent_writers_use_distinct_temporary_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.tsv"]
 
 
-def test_written_file_mode_follows_the_umask(tmp_path):
-    target = tmp_path / "out.tsv"
-    atomic_write_text(target, "x\n")
-    plain = tmp_path / "plain.tsv"
-    plain.write_text("x\n", encoding="utf-8")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_file_mode_follows_the_umask(tmp_path, umask):
+    # Set after import: the mode must follow the umask in force at the write.
+    before = os.umask(umask)
+    try:
+        target = tmp_path / "out.tsv"
+        atomic_write_text(target, "x\n")
+        plain = tmp_path / "plain.tsv"
+        plain.write_text("x\n", encoding="utf-8")
+    finally:
+        os.umask(before)
     assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
