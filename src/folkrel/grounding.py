@@ -31,7 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Folksonomy, tag_stats
+from .core import Folksonomy, _by_frequency
 from .distributional import (CoGraph, RelatedTag, build_cooccurrence,
                              cosine_relatedness, freq_relatedness)
 # folkrank_relatedness is not called here; it stays importable from this
@@ -226,7 +226,9 @@ class GroundingEvaluator:
         self.cograph: CoGraph = build_cooccurrence(folksonomy)
         self._folkgraph: FolkGraph | None = None
         self._ic: dict[str, ICTable] = dict(ic_tables or {})
-        self._ranks = {s.tag: s.rank for s in tag_stats(folksonomy)}
+        order = _by_frequency(folksonomy)[1].tolist()  # tag ids by rank
+        self._ranks = dict(zip(map(folksonomy.tags.__getitem__, order),
+                               range(1, len(order) + 1)))
         self._tags = tuple(sorted(folksonomy.tags))
         self._top: dict[str, dict[str, tuple[RelatedTag, ...]]] = {}
         self._pairs: dict[str, MeasurePairs] = {}

@@ -9,7 +9,8 @@ header lines start with a space and are skipped.
 Every token of a record is validated, but only what taxonomic queries
 read is kept, as columns: a data file keeps its synset offsets, the
 number of words of each synset and (synset, hypernym) offset pairs; an
-index file keeps its lemmas and their synset offsets.  Digit fields must
+index file keeps its lemmas, as one column of byte keys (`lemma_keys`:
+normalized as tags are), and their synset offsets.  Digit fields must
 be ASCII digits.  A file is decoded in blocks of about ``_BLOCK`` bytes
 cut at line ends (line by line if a block does not decode, as header
 lines are skipped undecoded); each record line is split once and gated
@@ -27,12 +28,14 @@ corpora ship in the exact format the parser consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 from string import digits, hexdigits
 from typing import Iterable, NoReturn
 
 import numpy as np
+
+from .core import normalize_tag
 
 POS_CHARS = {"noun": "n", "verb": "v", "adj": "a", "adv": "r"}
 SS_TYPES = {"noun": ("n",), "verb": ("v",), "adj": ("a", "s"), "adv": ("r",)}
@@ -68,9 +71,24 @@ class DataColumns:
 class IndexColumns:
     """An index.<pos> file as columns: one lemma per line, in file order."""
 
-    lemmas: list[str]  # lowercased
+    lemmas: np.ndarray  # bytes keys of the lemmas, as `lemma_keys` makes them
     counts: np.ndarray  # int64 number of synset offsets per lemma
     offsets: np.ndarray  # int64 synset offsets of every lemma, concatenated
+
+
+KEY_END = b"\xff"  # no UTF-8 byte: keys ending in NUL stay distinct
+
+
+def lemma_keys(lemmas: Iterable[str]) -> np.ndarray:
+    """The lemmas as a numpy bytes column of index keys: each normalized as
+    tags are (`normalize_tag`), UTF-8 encoded and ended by `KEY_END`."""
+    return np.array([normalize_tag(lemma).encode("utf-8", "surrogatepass")
+                     + KEY_END for lemma in lemmas], dtype=np.bytes_)
+
+
+def key_text(key: bytes) -> str:
+    """The lemma of one key of `lemma_keys`."""
+    return key[:-1].decode("utf-8", "surrogatepass")
 
 
 def _digits(token: str) -> bool:
@@ -279,8 +297,8 @@ def _data_block(lines: list[str], pos: str):
 
 
 def _index_block(lines: list[str], pos: str):
-    """(lemmas, synset counts, offsets) of a block of index lines, or None
-    if the fast pass rejects one of them."""
+    """(lemma keys, synset counts, offsets) of a block of index lines, or
+    None if the fast pass rejects one of them."""
     pos_char = POS_CHARS[pos]
     lemmas: list[str] = []
     counts: list[int] = []
@@ -295,13 +313,13 @@ def _index_block(lines: list[str], pos: str):
         first = 6 + _DECIMAL[t[3]]  # lemma, pos, 2 counts, pointers, 2 sense counts
         if synset_cnt < 1 or first < 6 or len(t) - first != synset_cnt:
             return None
-        lemmas.append(t[0].lower())
+        lemmas.append(t[0])
         counts.append(synset_cnt)
         offsets += t[first:]
     synsets = _offset_values(offsets)
     if synsets is None:
         return None
-    return lemmas, np.array(counts, dtype=np.int64), synsets
+    return lemma_keys(lemmas), np.array(counts, dtype=np.int64), synsets
 
 
 def _columns(data: bytes, pos: str, block, check) -> list[tuple]:
@@ -341,7 +359,7 @@ def parse_index(data: bytes, pos: str) -> IndexColumns:
     validating every field."""
     lemmas, counts, offsets = zip(*_columns(data, pos, _index_block,
                                             _check_index_line))
-    return IndexColumns(list(chain.from_iterable(lemmas)), np.concatenate(counts),
+    return IndexColumns(np.concatenate(lemmas), np.concatenate(counts),
                         np.concatenate(offsets))
 
 

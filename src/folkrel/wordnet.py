@@ -5,7 +5,8 @@ hypernym edges.  Synsets without hypernyms are attached to a synthetic
 root at offset 0 so the graph is always connected and cross-branch paths
 exist.  The graph is held once, as numpy arrays over dense synset ids:
 CSR parent and child adjacency and a CSR ancestor closure; the lemma
-index maps each lemma to a CSR row of dense ids.  Synset offsets appear
+index is one sorted column of byte keys, lemmas normalized as tags are,
+whose row i is the CSR row of dense ids of key i.  Synset offsets appear
 only at the public boundary.  On top of the taxonomy sit
 two semantic distances between lemmas:
 
@@ -21,7 +22,6 @@ ic = -ln(count / total).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +29,9 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .wndb import POS_CHARS, DataColumns, IndexColumns, _digits, read_database
+from .core import normalize_tag
+from .wndb import (KEY_END, POS_CHARS, DataColumns, IndexColumns, _digits,
+                   key_text, lemma_keys, read_database)
 
 ROOT = 0  # synthetic root synset offset, one per taxonomy
 
@@ -57,17 +59,19 @@ class Taxonomy:
     The graph is held over dense ids, a synset's rank in offset order (the
     root is id 0), as CSR pairs ``(indptr, indices)`` whose row d lists,
     ascending, the parents, children or subsumers of d.  The lemma index is
-    one dict from lowercased lemma to row and a CSR pair whose row lists
-    the lemma's synsets as ascending dense ids.  Methods take and return
-    offsets; one that is neither a synset nor `ROOT` raises `KeyError`.
+    a sorted numpy bytes column of distinct keys (`wndb.lemma_keys`) and a
+    CSR pair whose row i lists the synsets of key i as ascending dense
+    ids; lemmas are looked up normalized as tags are (`normalize_tag`).
+    Methods take and return offsets; one that is neither a synset nor
+    `ROOT` raises `KeyError`.
     """
 
-    __slots__ = ("pos", "_lemmas", "_senses", "_ids", "_up", "_down",
+    __slots__ = ("pos", "_keys", "_senses", "_ids", "_up", "_down",
                  "_closure")
 
-    def __init__(self, pos, lemmas, senses, ids, up, down, closure):
+    def __init__(self, pos, keys, senses, ids, up, down, closure):
         self.pos = pos
-        self._lemmas, self._senses = lemmas, senses  # lemma -> row, CSR of synsets
+        self._keys, self._senses = keys, senses  # sorted keys, CSR of synsets
         self._ids = ids  # offset of each dense id, ascending, ROOT first
         self._up, self._down = up, down  # parents, children
         self._closure = closure  # subsumers, the id itself and the root included
@@ -85,7 +89,8 @@ class Taxonomy:
         ``hypernyms`` maps a synset offset to its parent offsets; synsets
         with no parents are attached to the synthetic root.  When
         ``lemma_index`` is omitted it is derived from the synset lemmas.
-        Lemma keys are lowercased, and keys that then collide are merged.
+        Lemma keys are normalized as tags are, and keys that then collide
+        are merged.
         """
         hypernyms = hypernyms or {}
         offsets = list(synsets)
@@ -95,11 +100,11 @@ class Taxonomy:
             np.array(offsets, dtype=np.int64),
             np.array([len(synsets[o]) for o in offsets], dtype=np.int64),
             np.array(child, dtype=np.int64), np.array(parent, dtype=np.int64))
-        entries = [(str(lemma).lower(), list(offs)) for lemma, offs in (
+        entries = [(str(lemma), list(offs)) for lemma, offs in (
             lemma_index.items() if lemma_index is not None
             else ((w, [o]) for o in offsets for w in synsets[o]))]
         index = IndexColumns(
-            [key for key, _ in entries],
+            lemma_keys(lemma for lemma, _ in entries),
             np.array([len(offs) for _, offs in entries], dtype=np.int64),
             np.array([o for _, offs in entries for o in offs], dtype=np.int64))
         return cls.from_columns(pos, data, index)
@@ -159,8 +164,8 @@ class Taxonomy:
         up = (np.searchsorted(child, rows), parent)
         down = (np.searchsorted(parent[by_parent], rows), child[by_parent])
 
-        lemmas, senses = _lemma_index(ids, index)
-        return cls(pos, lemmas, senses, ids, up, down, _closure(ids, up, down))
+        keys, senses = _lemma_index(ids, index)
+        return cls(pos, keys, senses, ids, up, down, _closure(ids, up, down))
 
     def _dense(self, offsets) -> np.ndarray:
         """Dense ids of offsets known to be synsets, unchecked."""
@@ -185,11 +190,23 @@ class Taxonomy:
         return len(self._up[1])
 
     @property
-    def lemmas(self):
-        return self._lemmas.keys()
+    def lemmas(self) -> list[str]:
+        """The index keys, decoded afresh on each call."""
+        return [key_text(key) for key in self._keys.tolist()]
+
+    def _key_rows(self, lemmas: Sequence[str]) -> np.ndarray:
+        """The index row of each lemma, or -1 where it has none."""
+        keys, query = self._keys, lemma_keys(lemmas)
+        if not len(keys):
+            return np.full(len(query), -1)
+        # Queries cut to the column's width keep numpy from copying the whole
+        # column to a wider dtype; a query the cut shortens matches no key.
+        at = keys.searchsorted(query.astype(keys.dtype))
+        at = np.minimum(at, len(keys) - 1)
+        return np.where(keys[at] == query, at, -1)
 
     def has_lemma(self, lemma: str) -> bool:
-        return lemma.lower() in self._lemmas
+        return bool(self._key_rows([lemma])[0] >= 0)
 
     def has_synset(self, offset: int) -> bool:
         """Whether ``offset`` is a synset; `ROOT` is not."""
@@ -199,21 +216,18 @@ class Taxonomy:
             return False
 
     def synsets_of(self, lemma: str) -> tuple[int, ...]:
-        row = self._lemmas.get(lemma.lower())
-        if row is None:
+        row = int(self._key_rows([lemma])[0])
+        if row < 0:
             raise UnknownLemmaError(lemma, self.pos)
         indptr, senses = self._senses
         return tuple(self._ids[senses[indptr[row]:indptr[row + 1]]].tolist())
 
     def match_lemma(self, tag: str) -> str | None:
         """Index key for a tag, trying hyphen-to-underscore as a fallback."""
-        candidate = tag.lower()
-        if candidate in self._lemmas:
-            return candidate
+        candidate = normalize_tag(tag)
         joined = candidate.replace("-", "_")
-        if joined != candidate and joined in self._lemmas:
-            return joined
-        return None
+        found = self._key_rows([candidate, joined]) >= 0
+        return candidate if found[0] else joined if found[1] else None
 
     def parents(self, offset: int) -> tuple[int, ...]:
         return tuple(self._ids[self._row(self._up, offset)].tolist())
@@ -247,27 +261,33 @@ def _lookup(ids: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _lemma_index(ids: np.ndarray, index: IndexColumns):
-    """(lemma -> row, CSR (indptr, ascending dense ids)) of an index.
-    Index entries whose keys are equal are merged."""
+    """(sorted distinct keys, CSR (indptr, ascending dense ids)) of an
+    index.  Index entries whose keys are equal are merged."""
     lemmas, offsets = index.lemmas, index.offsets
-    if "" in lemmas or not index.counts.all():
-        for lemma, count in zip(lemmas, index.counts.tolist()):
-            if not lemma:
+    if (lemmas == KEY_END).any() or not index.counts.all():
+        for key, count in zip(lemmas.tolist(), index.counts.tolist()):
+            if key == KEY_END:
                 raise TaxonomyStructureError("empty lemma in index")
             if not count:
                 raise TaxonomyStructureError(
-                    f"lemma {lemma!r} maps to no synsets")
-    keys = dict(zip(dict.fromkeys(lemmas), itertools.count()))
-    key_ids = np.repeat(np.fromiter(map(keys.__getitem__, lemmas), np.int64,
-                                    len(lemmas)), index.counts)
+                    f"lemma {key_text(key)!r} maps to no synsets")
+    order = np.argsort(lemmas, kind="stable")
+    keys = lemmas[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = order[new]  # the file position of each key's first lemma
+    key_ids = np.empty(len(keys), dtype=np.int64)
+    key_ids[order] = np.cumsum(new) - 1
+    key_ids = np.repeat(key_ids, index.counts)
+    keys = keys[new]
     dense, found = _lookup(ids, offsets)
     found &= offsets != ROOT
     if not found.all():
         bad = np.flatnonzero(~found)
-        first = bad[np.lexsort((offsets[bad], key_ids[bad]))[0]]
-        name = list(keys)[key_ids[first]]
+        worst = bad[np.lexsort((offsets[bad], first[key_ids[bad]]))[0]]
         raise TaxonomyStructureError(
-            f"lemma {name!r} references missing synset {offsets[first]:08d}")
+            f"lemma {key_text(keys[key_ids[worst]])!r} references missing "
+            f"synset {offsets[worst]:08d}")
     pairs = _sorted_unique(key_ids * len(ids) + dense)
     indptr = np.searchsorted(pairs // len(ids), np.arange(len(keys) + 1))
     return keys, (indptr, pairs % len(ids))
@@ -277,6 +297,16 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The concatenated ranges ``lo[i]:hi[i]``."""
     lens = hi - lo
     return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+_CHUNK = 1 << 16  # CSR entries per chunk of a whole-closure pass
+
+
+def _chunks(indptr: np.ndarray):
+    """(lo, hi) runs of rows, in order, of about `_CHUNK` entries each."""
+    cuts = np.searchsorted(indptr, np.arange(_CHUNK, indptr[-1], _CHUNK))
+    bounds = _sorted_unique(np.r_[0, cuts, len(indptr) - 1]).tolist()
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _closure(ids: np.ndarray, up: tuple[np.ndarray, np.ndarray],
@@ -308,7 +338,12 @@ def _closure(ids: np.ndarray, up: tuple[np.ndarray, np.ndarray],
         rows = np.concatenate((rows, (keys % n).astype(np.int32)))
     if waiting.any():
         _raise_cycle(ids, up, waiting > 0)
-    return np.r_[0, np.cumsum(length)], rows[_ranges(start, start + length)]
+    indptr = np.r_[0, np.cumsum(length)]
+    closure = np.empty(indptr[-1], dtype=np.int32)  # rows put in id order
+    for lo, hi in _chunks(indptr):
+        closure[indptr[lo]:indptr[hi]] = rows[_ranges(start[lo:hi],
+                                                      start[lo:hi] + length[lo:hi])]
+    return indptr, closure
 
 
 def _raise_cycle(ids: np.ndarray, up: tuple[np.ndarray, np.ndarray],
@@ -530,19 +565,23 @@ def ic_from_counts(
     ids = tax._ids
     own = np.full(len(ids), float(smoothing))
     own[ROOT] = 0.0
-    targets: list[int] = []
-    masses: list[float] = []
-    skipped = 0
+    lemmas: list[str] = []
+    lemma_mass: list[float] = []
     for lemma, count in (lemma_counts or {}).items():
         count = float(count)
         if count < 0:
             raise IcCountsError(f"negative count for lemma {lemma!r}")
-        if not tax.has_lemma(str(lemma)):
-            skipped += 1
-            continue
-        offs = tax.synsets_of(str(lemma))
-        targets += offs
-        masses += [count / len(offs)] * len(offs)
+        lemmas.append(str(lemma))
+        lemma_mass.append(count)
+    rows = tax._key_rows(lemmas)
+    known = rows >= 0
+    skipped = len(lemmas) - int(known.sum())
+    # A lemma's count is split equally over its synsets, ascending.
+    indptr, senses = tax._senses
+    lo, hi = indptr[rows[known]], indptr[rows[known] + 1]
+    share = np.array(lemma_mass)[known] / (hi - lo)
+    offsets: list[int] = []
+    synset_mass: list[float] = []
     for offset, count in (synset_counts or {}).items():
         count = float(count)
         if count < 0:
@@ -550,16 +589,20 @@ def ic_from_counts(
         if not tax.has_synset(offset):
             skipped += 1
             continue
-        targets.append(offset)
-        masses.append(count)
+        offsets.append(offset)
+        synset_mass.append(count)
     # add.at adds in list order, the order a loop over the counts would.
-    np.add.at(own, tax._dense(np.array(targets, dtype=np.int64)), masses)
+    np.add.at(own, np.r_[senses[_ranges(lo, hi)],
+                         tax._dense(np.array(offsets, dtype=np.int64))],
+              np.r_[np.repeat(share, hi - lo), synset_mass])
 
     # Each ancestor sums its descendants' mass in ascending offset order:
-    # closure rows come by dense id and bincount adds in input order.
+    # closure rows come by dense id and add.at adds in input order.
     indptr, anc = tax._closure
-    mass = np.repeat(own, np.diff(indptr))
-    cumulative = np.bincount(anc, weights=mass, minlength=len(ids))
+    cumulative = np.zeros(len(ids))
+    for lo, hi in _chunks(indptr):
+        np.add.at(cumulative, anc[indptr[lo]:indptr[hi]],
+                  np.repeat(own[lo:hi], np.diff(indptr[lo:hi + 1])))
     total = float(cumulative[ROOT])
     if total <= 0.0:
         raise IcCountsError("counts carry no mass; supply counts or smoothing")

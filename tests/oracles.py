@@ -19,7 +19,8 @@ from scipy import sparse
 from folkrel.core import Folksonomy, TagStats, normalize_tag
 from folkrel.folkrank import RankVector
 from folkrel.wndb import HYPERNYM_SYMBOLS, POS_CHARS, SS_TYPES, WndbFormatError
-from folkrel.wordnet import DOWN, ROOT, UP, TaxonomyStructureError, TaxPath
+from folkrel.wordnet import (DOWN, ROOT, UP, TaxonomyStructureError, TaxPath,
+                             _raise_cycle, _ranges, _sorted_unique)
 
 
 # The dict-and-frozenset corpus that ``folkrel.core`` replaced with arrays:
@@ -505,7 +506,7 @@ def parse_index_records(data, pos):
         tokens = line.split()
         if len(tokens) < 7:
             raise WndbFormatError("truncated index record", at)
-        lemma = tokens[0].lower()
+        lemma = normalize_tag(tokens[0])
         if tokens[1] != pos_char:
             raise WndbFormatError(
                 f"index pos {tokens[1]!r} does not match file pos {pos_char!r}", at)
@@ -534,7 +535,7 @@ class DictTaxonomy:
             if offset == ROOT:
                 raise TaxonomyStructureError(
                     "synset offset 0 is reserved for the synthetic root")
-            lemmas = tuple(str(w).lower() for w in synsets[offset])
+            lemmas = tuple(normalize_tag(str(w)) for w in synsets[offset])
             if not lemmas:
                 raise TaxonomyStructureError(
                     f"synset {offset:08d} carries no lemmas")
@@ -563,14 +564,14 @@ class DictTaxonomy:
                     merged.setdefault(lemma, set()).add(offset)
         else:
             for lemma, offs in lemma_index.items():
-                key = str(lemma).lower()
+                key = normalize_tag(str(lemma))
                 if not key:
                     raise TaxonomyStructureError("empty lemma in index")
                 if not offs:
                     raise TaxonomyStructureError(
                         f"lemma {key!r} maps to no synsets")
             for lemma, offs in lemma_index.items():
-                merged.setdefault(str(lemma).lower(), set()).update(offs)
+                merged.setdefault(normalize_tag(str(lemma)), set()).update(offs)
             for key, offs in merged.items():
                 for off in sorted(offs):
                     if off not in built:
@@ -616,7 +617,7 @@ class DictTaxonomy:
         return self._children.get(offset, ())
 
     def synsets_of(self, lemma):
-        return self.lemma_index[lemma.lower()]
+        return self.lemma_index[normalize_tag(lemma)]
 
     def subsumers(self, offset):
         memo = self._subsumers
@@ -661,7 +662,7 @@ def ic_counts(tax, lemma_counts=None, synset_counts=None, smoothing=1.0):
     own = {offset: float(smoothing) for offset in tax.synsets}
     skipped = 0
     for lemma, count in (lemma_counts or {}).items():
-        offs = tax.lemma_index.get(str(lemma).lower())
+        offs = tax.lemma_index.get(normalize_tag(str(lemma)))
         if not offs:
             skipped += 1
             continue
@@ -682,3 +683,57 @@ def ic_counts(tax, lemma_counts=None, synset_counts=None, smoothing=1.0):
         for ancestor in sorted(tax.subsumers(offset)):
             cumulative[ancestor] += mass
     return cumulative, cumulative[ROOT], skipped
+
+
+# The whole-size forms that ``wordnet._closure`` and ``ic_from_counts``
+# replaced with passes over chunks of the closure: the same entries in the
+# same order, through temporaries the size of the whole closure.
+
+def concat_closure(ids, up, down):
+    """CSR (indptr, ancestor ids) of the ancestor closure: each round's rows
+    appended to one array, then put in id order by one range index."""
+    (up_ptr, parent), (down_ptr, child) = up, down
+    n = len(ids)
+    waiting = np.diff(up_ptr)
+    start = np.zeros(n, dtype=np.int64)
+    length = np.ones(n, dtype=np.int64)
+    rows = np.zeros(1, dtype=np.int32)
+    nodes = np.array([ROOT])
+    while len(nodes):
+        kids = child[_ranges(down_ptr[nodes], down_ptr[nodes + 1])]
+        waiting -= np.bincount(kids, minlength=n)
+        nodes = _sorted_unique(kids[waiting[kids] == 0])
+        lo, hi = up_ptr[nodes], up_ptr[nodes + 1]
+        p = parent[_ranges(lo, hi)]
+        ancestors = rows[_ranges(start[p], start[p] + length[p])]
+        c = np.repeat(np.repeat(nodes, hi - lo), length[p])
+        keys = _sorted_unique(np.r_[c * n + ancestors, nodes * n + nodes])
+        firsts = np.searchsorted(keys // n, nodes)
+        start[nodes] = len(rows) + firsts
+        length[nodes] = np.diff(np.r_[firsts, len(keys)])
+        rows = np.concatenate((rows, (keys % n).astype(np.int32)))
+    if waiting.any():
+        _raise_cycle(ids, up, waiting > 0)
+    return np.r_[0, np.cumsum(length)], rows[_ranges(start, start + length)]
+
+
+def bincount_cumulative(tax, lemma_counts=None, synset_counts=None,
+                        smoothing=1.0):
+    """`ICTable.cumulative` by one lemma lookup per count and one bincount
+    over a mass array the size of the closure."""
+    own = np.full(len(tax._ids), float(smoothing))
+    own[ROOT] = 0.0
+    targets, masses = [], []
+    for lemma, count in (lemma_counts or {}).items():
+        if tax.has_lemma(str(lemma)):
+            offs = tax.synsets_of(str(lemma))
+            targets += offs
+            masses += [float(count) / len(offs)] * len(offs)
+    for offset, count in (synset_counts or {}).items():
+        if tax.has_synset(offset):
+            targets.append(offset)
+            masses.append(float(count))
+    np.add.at(own, tax._dense(np.array(targets, dtype=np.int64)), masses)
+    indptr, anc = tax._closure
+    mass = np.repeat(own, np.diff(indptr))
+    return np.bincount(anc, weights=mass, minlength=len(tax._ids))

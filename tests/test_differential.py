@@ -20,15 +20,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel.core import (Folksonomy, UnknownTagError, restrict_to_top_tags,
-                          tag_stats)
+from folkrel import wordnet
+from folkrel.core import (Folksonomy, UnknownTagError, normalize_tag,
+                          restrict_to_top_tags, tag_stats)
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
 from folkrel.folkrank import (PreferenceError, build_folkgraph,
                               folkrank_relatedness, rank, rank_tags)
 from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
-from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
-                          render_database)
+from folkrel.wndb import (SynsetSpec, WndbFormatError, key_text, parse_data,
+                          parse_index, render_database)
 from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
                              _smallest_label, ic_from_counts, shortest_path)
 
@@ -378,7 +379,15 @@ def assert_same_taxonomy(tax, ref):
     assert sorted(tax.lemmas) == sorted(ref.lemma_index)
     for lemma in ref.lemma_index:
         assert tax.synsets_of(lemma) == ref.synsets_of(lemma)
-        assert tax.synsets_of(lemma.upper()) == ref.synsets_of(lemma)
+        assert senses(tax, lemma.upper()) == senses(ref, lemma.upper())
+
+
+def senses(tax, lemma):
+    """The synsets of a lemma, or None where the index has none."""
+    try:
+        return tax.synsets_of(lemma)
+    except LookupError:
+        return None
 
 
 def assert_same_counts(ic, cumulative):
@@ -414,8 +423,8 @@ def index_records(index):
     """IndexColumns in the oracle's [(lemma, offsets)] shape."""
     offsets = index.offsets.tolist()
     ends = np.cumsum(index.counts).tolist()
-    return [(lemma, tuple(offsets[end - count:end])) for lemma, count, end
-            in zip(index.lemmas, index.counts.tolist(), ends)]
+    return [(key_text(key), tuple(offsets[end - count:end])) for key, count, end
+            in zip(index.lemmas.tolist(), index.counts.tolist(), ends)]
 
 
 # Magnitudes far apart and fractions without exact binary forms make a
@@ -465,6 +474,132 @@ def test_ic_counts_match_oracle_on_a_wide_dag():
     ic = ic_from_counts(tax, lemma_counts, smoothing=0.1)
     assert_same_counts(ic, cumulative)
     assert ic.total == total
+    for chunk in (1 << 16, 97):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wordnet, "_CHUNK", chunk)
+            assert_whole_size_forms(tax, lemma_counts, {}, 0.1)
+
+
+def assert_whole_size_forms(tax, lemma_counts, synset_counts, smoothing):
+    """The closure and the IC's cumulative counts equal their whole-size
+    forms array for array, bit for bit."""
+    closure = oracles.concat_closure(tax._ids, tax._up, tax._down)
+    got = wordnet._closure(tax._ids, tax._up, tax._down)
+    for mine, theirs in zip(got, closure):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    want = oracles.bincount_cumulative(tax, lemma_counts, synset_counts, smoothing)
+    if want[ROOT] > 0.0:
+        ic = ic_from_counts(tax, lemma_counts, synset_counts, smoothing)
+        assert ic.cumulative.tobytes() == want.tobytes()
+
+
+@CASES
+@given(taxonomy_inputs(), st.data())
+def test_closure_and_ic_match_their_whole_size_forms(inputs, data):
+    # Chunks of 1 and 3 entries put one row, or a few, in each pass.
+    tax = Taxonomy.build("noun", *inputs)
+    lemma_counts = data.draw(st.dictionaries(
+        st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
+    synset_counts = data.draw(st.dictionaries(
+        st.sampled_from([0, 7, *inputs[0]]), counts))
+    smoothing = data.draw(st.sampled_from([0.0, 1.0, 0.1, 1e-17]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wordnet, "_CHUNK", data.draw(st.sampled_from([1, 3, 1 << 16])))
+        assert_whole_size_forms(tax, lemma_counts, synset_counts, smoothing)
+
+
+# -- the lemma key column ------------------------------------------------
+
+# Lemmas a byte column could confuse: NUL inside, at the end of and as a
+# lemma, lemmas that are prefixes of others, non-ASCII lemmas in NFC and
+# NFD and in both cases, and hyphenated and underscored forms.
+KEY_LEMMAS = ["a", "a\x00", "a\x00b", "a\x00\x00", "\x00", "ab", "abc", "b",
+              "café", "cafe\u0301", "CAFÉ", "Cafe\u0301", "日本", "ǆem", "Ǆem",
+              "σίσυφος", "straße", "İ", "ice_cream", "ice-cream", "sea_lion"]
+KEY_TAGS = KEY_LEMMAS + [lemma.upper() for lemma in KEY_LEMMAS] + [
+    "Ice-Cream", "sea-lion", "SEA-LION", "sea lion", "ghost", "",
+    "ice_cream_sundae_" * 4, "abc" + "\x00" * 20]
+
+
+def oracle_match(ref, tag):
+    """`Taxonomy.match_lemma` over the oracle's lemma dict."""
+    for key in dict.fromkeys((normalize_tag(tag),
+                              normalize_tag(tag).replace("-", "_"))):
+        if key in ref.lemma_index:
+            return key
+    return None
+
+
+def assert_same_keys(tax, ref):
+    assert_same_taxonomy(tax, ref)
+    for tag in KEY_TAGS:
+        assert tax.match_lemma(tag) == oracle_match(ref, tag)
+        assert tax.has_lemma(tag) == (senses(ref, tag) is not None)
+        assert senses(tax, tag) == senses(ref, tag)
+
+
+@st.composite
+def key_inputs(draw):
+    """(synsets, hypernyms, lemma_index or None) over `KEY_LEMMAS`."""
+    offsets = draw(st.lists(st.integers(1, 99_999_999), min_size=1,
+                            max_size=6, unique=True))
+    lemmas = st.lists(st.sampled_from(KEY_LEMMAS), min_size=1, max_size=4)
+    synsets = {offset: draw(lemmas) for offset in offsets}
+    lemma_index = None
+    if draw(st.booleans()):
+        lemma_index = {lemma: draw(st.lists(st.sampled_from(offsets),
+                                            min_size=1, max_size=3))
+                       for lemma in draw(lemmas)}
+    return synsets, {}, lemma_index
+
+
+@CASES
+@given(key_inputs())
+def test_key_column_matches_dict_oracle(inputs):
+    assert_same_keys(Taxonomy.build("noun", *inputs),
+                     oracles.DictTaxonomy(*inputs))
+
+
+@CASES
+@given(st.lists(st.lists(st.sampled_from(KEY_LEMMAS), min_size=1, max_size=3),
+                min_size=1, max_size=8))
+def test_parsed_key_column_matches_dict_oracle(lemma_lists):
+    specs = [SynsetSpec(f"s{i}", tuple(lemmas),
+                        (f"s{i // 2}",) if i else ())
+             for i, lemmas in enumerate(lemma_lists)]
+    index_bytes, data_bytes = render_database(specs, "noun")
+    assert index_records(parse_index(index_bytes, "noun")) == \
+        oracles.parse_index_records(index_bytes, "noun")
+    assert_same_keys(load_columns(index_bytes, data_bytes, "noun"),
+                     oracles.load_dict_taxonomy(index_bytes, data_bytes, "noun"))
+
+
+@pytest.mark.parametrize("lemma_index,message", [
+    ({"b": [100, 700], "a": [600]}, "lemma 'b' references missing synset 00000700"),
+    ({"B": [800], "a": [600], "b": [100, 700]},
+     "lemma 'b' references missing synset 00000700"),
+    ({"cafe\u0301": [900], "a": [600], "CAFÉ": [800]},
+     "lemma 'café' references missing synset 00000800"),
+    ({"b\x00": [100], "b": [], "a": []}, "lemma 'b' maps to no synsets"),
+], ids=["file-order", "case-merge", "nfd-merge", "no-synsets"])
+def test_index_faults_name_the_first_lemma_in_file_order(lemma_index, message):
+    want = outcome(oracles.DictTaxonomy, {100: ["w"]}, {}, lemma_index)
+    assert want == (TaxonomyStructureError, message)
+    assert outcome(Taxonomy.build, "noun", {100: ["w"]}, {}, lemma_index) == want
+
+
+@pytest.mark.parametrize("index,message", [
+    ("zeta n 1 0 1 0 00000700\nalpha n 1 0 1 0 00000600\n",
+     "lemma 'zeta' references missing synset 00000700"),
+    ("cafe\u0301 n 1 0 1 0 00000900\nCAFÉ n 2 0 2 0 00000100 00000800\n"
+     "a n 1 0 1 0 00000600\n", "lemma 'café' references missing synset 00000800"),
+], ids=["file-order", "nfd-merge"])
+def test_parsed_index_faults_name_the_first_lemma_in_file_order(index, message):
+    data = b"00000100 03 n 01 w 0 000 | g  \n"
+    want = outcome(oracles.load_dict_taxonomy, index.encode(), data, "noun")
+    assert want == (TaxonomyStructureError, message)
+    assert outcome(load_columns, index.encode(), data, "noun") == want
 
 
 @st.composite

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from folkrel import wndb
-from folkrel.wndb import (SynsetSpec, WndbFormatError, parse_data, parse_index,
-                          render_database, write_database)
+from folkrel.core import normalize_tag
+from folkrel.wndb import (SynsetSpec, WndbFormatError, key_text, parse_data,
+                          parse_index, render_database, write_database)
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
                              TaxonomyStructureError, UnknownLemmaError,
                              ic_from_counts, ic_from_parsed, jiang_conrath,
@@ -41,7 +42,7 @@ def test_parse_round_trip_structure():
     index_bytes, data_bytes = render_database(T1_SPECS, "noun")
     data = parse_data(data_bytes, "noun")
     columns = parse_index(index_bytes, "noun")
-    index = dict(zip(columns.lemmas, columns.offsets.tolist()))
+    index = dict(zip(map(key_text, columns.lemmas.tolist()), columns.offsets.tolist()))
     assert columns.counts.tolist() == [1] * len(T1_SPECS)
     assert len(data.offsets) == len(T1_SPECS)
     assert set(index) == {"entity", "animal", "artifact", "dog", "cat", "car"}
@@ -255,6 +256,23 @@ def test_match_lemma_case_and_hyphen(t1):
     assert t1.match_lemma("DOG") == "dog"
 
 
+def test_lemma_keys_are_normalized_as_tags_are(tmp_path):
+    nfc, nfd = "caf\u00e9", "cafe\u0301"
+    tax = Taxonomy.build("noun", {100: (nfd,)})
+    assert tax.match_lemma(normalize_tag(nfd)) == nfc
+    assert tax.match_lemma("CAFE\u0301") == nfc
+    assert tax.synsets_of(nfc) == (100,)
+    assert tax.lemmas == [nfc]
+    merged = Taxonomy.build("noun", {100: (nfc,), 200: ("CAFE\u0301",)})
+    assert merged.lemmas == [nfc]
+    assert merged.synsets_of(nfd) == (100, 200)
+    write_database([SynsetSpec("a", (nfd,)), SynsetSpec("b", ("Caf\u00e9",))],
+                   "noun", tmp_path)
+    loaded = load_wordnet_dir(tmp_path)["noun"]
+    assert loaded.lemmas == [nfc]
+    assert len(loaded.synsets_of(nfd)) == 2
+
+
 def test_case_colliding_lemma_keys_merge():
     synsets = {1: ["a"], 2: ["b"]}
     given = Taxonomy.build("noun", synsets, {}, {"Dog": [1], "dog": [2]})
@@ -315,32 +333,70 @@ def test_load_wordnet_dir_rejects_a_lone_optional_file(tmp_path, lone, missing):
         load_wordnet_dir(tmp_path)
 
 
-def test_loaded_taxonomy_holds_few_bytes_per_synset(tmp_path):
-    # 20k synsets, 1.3 lemmas each from 24k names, 1.25 parents each.  The
-    # traced bytes still held per synset after the load: 505 when the
-    # taxonomy kept a lemma tuple per synset and an offset tuple per lemma,
-    # 269 with the lemma index as one dict over a CSR of dense ids.
+MEMORY_SYNSETS = 20_000
+
+
+@pytest.fixture(scope="module")
+def memory_database(tmp_path_factory):
+    """(index path, data path) of 20k synsets, 1.3 lemmas each from 24k
+    names, 1.25 parents each."""
     rng = random.Random("taxonomy memory")
-    n = 20_000
     specs = [SynsetSpec(f"s{i}", tuple(f"lemma{rng.randrange(24_000)}"
                                        for _ in range(rng.choice((1, 1, 2)))),
                         tuple(f"s{p}" for p in {rng.randrange(i) for _ in
                                                 range(rng.choice((1, 1, 1, 2)))})
                         if i else ())
-             for i in range(n)]
-    index_path, data_path = write_database(specs, "noun", tmp_path)
-    del specs
+             for i in range(MEMORY_SYNSETS)]
+    return write_database(specs, "noun", tmp_path_factory.mktemp("memory"))
+
+
+def traced(call):
+    """(result, traced bytes still held after ``call``, traced peak
+    during it), both net of what was held before."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tax = load_taxonomy(index_path, data_path, "noun")
+        result = call()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tax.num_synsets == n
-    assert held / n < 390
+    return result, held - before, peak - before
+
+
+# Traced bytes per synset of the 20k-synset database, measured on numpy
+# 2.4.  Each bound is the measured value plus about 15%, or, for the IC
+# table, whose chunk temporaries other numpy versions may copy, about
+# twice it.
+#
+# Held after the load: 505 when the taxonomy kept a lemma tuple per
+# synset and an offset tuple per lemma, 269 with the lemma index as one
+# dict over a CSR of dense ids, 188 with it as a sorted byte column.
+def test_loaded_taxonomy_holds_few_bytes_per_synset(memory_database):
+    tax, held, _ = traced(lambda: load_taxonomy(*memory_database, "noun"))
+    assert tax.num_synsets == MEMORY_SYNSETS
+    assert held / MEMORY_SYNSETS < 215
+
+
+# Peak during the load: 863 with the lemma dict and the closure put in id
+# order by one whole-size range index; 485 with the byte column and the
+# closure put in id order in chunks.
+def test_taxonomy_load_peaks_at_few_bytes_per_synset(memory_database):
+    _, _, peak = traced(lambda: load_taxonomy(*memory_database, "noun"))
+    assert peak / MEMORY_SYNSETS < 560
+
+
+# Peak while building an IC table: 453 with a mass array the size of the
+# closure and bincount's int64 copy of its indices; 46 (61 with lemma
+# counts) with add.at over chunks of about 64 Ki closure entries.
+def test_ic_table_peaks_at_few_bytes_per_synset(memory_database):
+    tax = load_taxonomy(*memory_database, "noun")
+    lemma_counts = {f"lemma{i}": float(i % 7) for i in range(0, 30_000, 3)}
+    for counts in ({}, lemma_counts):
+        ic, _, peak = traced(lambda: ic_from_counts(tax, counts))
+        assert ic.total > 0
+        assert peak / MEMORY_SYNSETS < 100
 
 
 # -- shortest paths ------------------------------------------------------
