@@ -42,8 +42,9 @@ class UnknownTagError(LookupError):
 
 
 def normalize_tag(tag: str) -> str:
-    """Canonical tag form: Unicode NFC, then lowercased."""
-    return unicodedata.normalize("NFC", tag).lower()
+    """Canonical tag form: Unicode NFC, lowercased, then NFC again, since
+    lowering can undo NFC (``"H\u0331"`` lowers to ``"h\u0331"``)."""
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", tag).lower())
 
 
 class Folksonomy:

@@ -8,10 +8,11 @@ coverage per part of speech, path-length and edge-composition
 distributions, pairwise top-k overlap between measures, and the average
 global rank of related tags as a function of the query tag's rank.
 
-Semantic distances are computed in the noun and verb taxonomies only; a
-tag covered by several is scored with the minimum distance (nouns win
-ties).  Tags or related tags without a metric-eligible lemma are skipped
-and tallied, never silently dropped.
+Each taxonomy matches every tag once (`Taxonomy.match_lemmas`), for the
+coverage entry and the distances.  Distances are computed in the noun and
+verb taxonomies only; a tag covered by both is scored with the minimum
+distance (nouns win ties).  Tags or related tags without a
+metric-eligible lemma are skipped and tallied, never silently dropped.
 
 Each summary is built once, as its entry of the report.json document:
 `coverage` and `MeasurePairs.summary` are public, the overlap rows, rank
@@ -98,15 +99,16 @@ def coverage(tags: Iterable[str], taxonomies: Mapping[str, Taxonomy]) -> dict:
     lemma, overall and per part of speech.  ``defined`` is False when there
     were no tags to cover at all."""
     tags = list(tags)
-    per_pos = {pos: 0 for pos in taxonomies}
-    covered = 0
-    for tag in tags:
-        hits = [pos for pos, tax in taxonomies.items()
-                if tax.match_lemma(tag) is not None]
-        for pos in hits:
-            per_pos[pos] += 1
-        covered += bool(hits)
-    total = len(tags)
+    return _coverage(len(tags), {pos: tax.match_lemmas(tags)
+                                 for pos, tax in taxonomies.items()})
+
+
+def _coverage(total: int, matches: Mapping[str, Iterable[str | None]]) -> dict:
+    """`coverage` from each part of speech's lemma, or None, per tag."""
+    hits = {pos: [lemma is not None for lemma in found]
+            for pos, found in matches.items()}
+    per_pos = {pos: sum(found) for pos, found in hits.items()}
+    covered = sum(map(any, zip(*hits.values())))
     return {
         "total": total,
         "covered": covered,
@@ -232,7 +234,6 @@ class GroundingEvaluator:
         self._tags = tuple(sorted(folksonomy.tags))
         self._top: dict[str, dict[str, tuple[RelatedTag, ...]]] = {}
         self._pairs: dict[str, MeasurePairs] = {}
-        self._matches: dict[str, dict[str, str]] = {}
 
     @property
     def folkgraph(self) -> FolkGraph:
@@ -287,26 +288,18 @@ class GroundingEvaluator:
         if self.threads > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 done = list(pool.map(walk, blocks))
-        else:
+        else:  # a pool thread's own malloc arena would raise peak RSS
             done = [walk(block) for block in blocks]
         walks = _walk_stats(
             [_outcome(base)] + [o for _, outcomes in done for o in outcomes])
         return dict(zip(self._tags, (top for tops, _ in done for top in tops))), walks
 
-    def _metric_match(self, tag: str) -> dict[str, str]:
-        """Lemma match per distance-eligible part of speech."""
-        cached = self._matches.get(tag)
-        if cached is None:
-            cached = {}
-            for pos in METRIC_POS:
-                tax = self.taxonomies.get(pos)
-                if tax is None:
-                    continue
-                lemma = tax.match_lemma(tag)
-                if lemma is not None:
-                    cached[pos] = lemma
-            self._matches[tag] = cached
-        return cached
+    @cached_property
+    def _lemmas(self) -> dict[str, dict[str, str | None]]:
+        """Each taxonomy's lemma, or None, for every tag: one batched
+        `Taxonomy.match_lemmas` per taxonomy."""
+        return {pos: dict(zip(self._tags, tax.match_lemmas(self._tags)))
+                for pos, tax in self.taxonomies.items()}
 
     def semantic_pairs(self, measure: str) -> MeasurePairs:
         """Score each tag's most related tag with both taxonomy distances."""
@@ -315,9 +308,12 @@ class GroundingEvaluator:
             return cached
         top = self.top_related(measure)
         pairs = MeasurePairs(measure=measure, total=len(self._tags))
+        lemma = {pos: self._lemmas[pos] for pos in METRIC_POS
+                 if pos in self._lemmas}
         for tag in self._tags:
-            tag_match = self._metric_match(tag)
-            if not tag_match:
+            tag_pos = [pos for pos, found in lemma.items()
+                       if found[tag] is not None]
+            if not tag_pos:
                 pairs.skipped_original += 1
                 continue
             related_list = top[tag]
@@ -325,31 +321,23 @@ class GroundingEvaluator:
                 pairs.no_related += 1
                 continue
             related = related_list[0].tag
-            related_match = self._metric_match(related)
-            if not related_match:
+            related_pos = [pos for pos, found in lemma.items()
+                           if found[related] is not None]
+            if not related_pos:
                 pairs.skipped_related += 1
                 continue
-            common = [pos for pos in METRIC_POS
-                      if pos in tag_match and pos in related_match]
+            common = [pos for pos in tag_pos if pos in related_pos]
             if not common:
                 pairs.no_common_pos += 1
                 continue
-            best_path = None
-            best_jcn = math.inf
+            paths, jcns = [], []
             for pos in common:
-                tax = self.taxonomies[pos]
-                path = shortest_path(tax, tag_match[pos], related_match[pos])
-                if best_path is None or path.length < best_path.length:
-                    best_path = path
-                jcn = jiang_conrath(tax, self._ic_table(pos),
-                                    tag_match[pos], related_match[pos])
-                best_jcn = min(best_jcn, jcn)
-            pairs.samples.append(PairSample(
-                tag=tag, related=related,
-                path_length=best_path.length,
-                composition=best_path.composition,
-                jcn=best_jcn,
-            ))
+                tax, a, b = self.taxonomies[pos], lemma[pos][tag], lemma[pos][related]
+                paths.append(shortest_path(tax, a, b))
+                jcns.append(jiang_conrath(tax, self._ic_table(pos), a, b))
+            best = min(paths, key=lambda path: path.length)  # nouns win ties
+            pairs.samples.append(PairSample(tag, related, best.length,
+                                            best.composition, min(jcns)))
         self._pairs[measure] = pairs
         return pairs
 
@@ -398,7 +386,8 @@ class GroundingEvaluator:
         walks = (dict(self._folkrank[1]) if "folkrank" in measures
                  else _walk_stats(()))
         return {
-            "coverage": coverage(self._tags, self.taxonomies),
+            "coverage": _coverage(len(self._tags), {
+                pos: found.values() for pos, found in self._lemmas.items()}),
             "k": self.k,
             "params": asdict(self.params),
             "folkrank": walks,

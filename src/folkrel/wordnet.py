@@ -6,9 +6,10 @@ root at offset 0 so the graph is always connected and cross-branch paths
 exist.  The graph is held once, as numpy arrays over dense synset ids:
 CSR parent and child adjacency and a CSR ancestor closure; the lemma
 index is one sorted column of byte keys, lemmas normalized as tags are,
-whose row i is the CSR row of dense ids of key i.  Synset offsets appear
-only at the public boundary.  On top of the taxonomy sit
-two semantic distances between lemmas:
+whose row i is the CSR row of dense ids of key i.  Tags are matched in one
+batched search of the keys and both distances run on dense ids, so synset
+offsets appear only in public arguments and returned values.  On top of
+the taxonomy sit two semantic distances between lemmas:
 
 - `shortest_path`: fewest taxonomy edges, traversable both up (toward
   hypernyms) and down, with the edge-direction composition of the path.
@@ -61,9 +62,9 @@ class Taxonomy:
     ascending, the parents, children or subsumers of d.  The lemma index is
     a sorted numpy bytes column of distinct keys (`wndb.lemma_keys`) and a
     CSR pair whose row i lists the synsets of key i as ascending dense
-    ids; lemmas are looked up normalized as tags are (`normalize_tag`).
-    Methods take and return offsets; one that is neither a synset nor
-    `ROOT` raises `KeyError`.
+    ids; lemmas are looked up normalized as tags are (`normalize_tag`),
+    many in one search (`match_lemmas`).  Public methods take and return
+    offsets; one that is neither a synset nor `ROOT` raises `KeyError`.
     """
 
     __slots__ = ("pos", "_keys", "_senses", "_ids", "_up", "_down",
@@ -215,19 +216,28 @@ class Taxonomy:
         except KeyError:
             return False
 
-    def synsets_of(self, lemma: str) -> tuple[int, ...]:
+    def _senses_of(self, lemma: str) -> np.ndarray:
+        """The synsets of a lemma as ascending dense ids."""
         row = int(self._key_rows([lemma])[0])
         if row < 0:
             raise UnknownLemmaError(lemma, self.pos)
         indptr, senses = self._senses
-        return tuple(self._ids[senses[indptr[row]:indptr[row + 1]]].tolist())
+        return senses[indptr[row]:indptr[row + 1]]
+
+    def synsets_of(self, lemma: str) -> tuple[int, ...]:
+        return tuple(self._ids[self._senses_of(lemma)].tolist())
+
+    def match_lemmas(self, tags: Sequence[str]) -> list[str | None]:
+        """Index key for each tag, or None, trying hyphen-to-underscore as a
+        fallback: one search over every tag's key and its fallback."""
+        keys = [normalize_tag(tag) for tag in tags]
+        joined = [key.replace("-", "_") for key in keys]
+        hits = (self._key_rows(keys + joined) >= 0).reshape(2, -1).tolist()
+        return [key if hit else alt if alt_hit else None
+                for key, alt, hit, alt_hit in zip(keys, joined, *hits)]
 
     def match_lemma(self, tag: str) -> str | None:
-        """Index key for a tag, trying hyphen-to-underscore as a fallback."""
-        candidate = normalize_tag(tag)
-        joined = candidate.replace("-", "_")
-        found = self._key_rows([candidate, joined]) >= 0
-        return candidate if found[0] else joined if found[1] else None
+        return self.match_lemmas([tag])[0]
 
     def parents(self, offset: int) -> tuple[int, ...]:
         return tuple(self._ids[self._row(self._up, offset)].tolist())
@@ -407,13 +417,10 @@ class TaxPath:
     length: int
     composition: tuple[str, ...]  # "up"/"down" per edge, source to target
 
-    def pattern(self) -> str:
-        return "-".join(self.composition)
-
 
 def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     """The smallest (composition, nodes) label of a shortest path from
-    ``sources`` to ``targets``, two disjoint sets of synset offsets.
+    ``sources`` to ``targets``, two disjoint sets of dense synset ids.
 
     Labels compare as tuples, so among equal-length paths the winner takes
     up edges as early as possible (up sorts before down), then the
@@ -421,7 +428,7 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     the length D and the layer where the two searches meet; its layers,
     cut back from there, give the shortest-path DAG, the nodes on some
     shortest path.  A greedy walk through that DAG finds the smallest
-    label.  The search runs on dense ids, which sort as the offsets do.
+    label.  Its nodes are dense ids, which sort as the offsets do.
     """
     # Memoryviews of the CSR arrays index and iterate as Python ints.
     (up_ptr, up), (down_ptr, down) = step = [
@@ -445,10 +452,9 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
     # Grow the side whose frontier has fewer incident edges, one layer at
     # a time.  Until they meet, the sides' visited sets are disjoint, so
     # the first layer that meets the other side is the DAG layer there.
-    ends = [set(tax._dense(list(end)).tolist()) for end in (sources, targets)]
-    layers = tuple([end] for end in ends)
-    seen = tuple(set(end) for end in ends)
-    cost = [edges(end) for end in ends]
+    layers = ([sources], [targets])
+    seen = (set(sources), set(targets))
+    cost = [edges(sources), edges(targets)]
     while True:
         side = 0 if cost[0] <= cost[1] else 1
         layer = neighbors(layers[side][-1]) - seen[side]
@@ -486,37 +492,38 @@ def _smallest_label(tax: Taxonomy, sources: set[int], targets: set[int]):
         comp.append(direction)
         reached.append(nxt)
     # Keep the reached nodes that can finish this composition, then take
-    # the smallest offset at each step.
+    # the smallest id at each step.
     for i in range(length - 1, -1, -1):
         reached[i] = {v for v in reached[i]
                       if not reached[i + 1].isdisjoint(row(comp[i], v))}
     nodes = [min(reached[0])]
     for i in range(length):
         nodes.append(min(reached[i + 1].intersection(row(comp[i], nodes[-1]))))
-    return tuple(comp), tuple(tax._ids[nodes].tolist())
+    return tuple(comp), tuple(nodes)
 
 
 def shortest_path(tax: Taxonomy, lemma1: str, lemma2: str) -> TaxPath:
     """Shortest taxonomy path between the closest synsets of two lemmas.
 
     Measured in edges, traversing hypernym edges in either direction.  For
-    lemmas sharing a synset the length is 0.  The result is symmetric:
-    querying in the other order yields the reversed composition.
+    lemmas sharing a synset the length is 0.  The path runs from the lemma
+    whose normalized form (`normalize_tag`) sorts first, so swapping the
+    lemmas reverses it and respelling one leaves it as it is.
     """
-    offs1 = tax.synsets_of(lemma1)
-    offs2 = tax.synsets_of(lemma2)
-    swapped = lemma1.lower() > lemma2.lower()
-    sources, targets = (set(offs2), set(offs1)) if swapped else (set(offs1), set(offs2))
+    senses1 = set(tax._senses_of(lemma1).tolist())
+    senses2 = set(tax._senses_of(lemma2).tolist())
+    swapped = normalize_tag(lemma1) > normalize_tag(lemma2)
+    sources, targets = (senses2, senses1) if swapped else (senses1, senses2)
     shared = sources & targets
     if shared:
-        synset = min(shared)
+        synset = int(tax._ids[min(shared)])
         return TaxPath(synset, synset, 0, ())
     comp, nodes = _smallest_label(tax, sources, targets)
+    ends = tax._ids[[nodes[0], nodes[-1]]].tolist()
     if swapped:
-        comp = tuple(1 - step for step in reversed(comp))
-        nodes = tuple(reversed(nodes))
+        comp, ends = [1 - step for step in reversed(comp)], ends[::-1]
     names = tuple("up" if step == UP else "down" for step in comp)
-    return TaxPath(nodes[0], nodes[-1], len(names), names)
+    return TaxPath(*ends, len(names), names)
 
 
 # -- information content and Jiang-Conrath distance --------------------
@@ -543,7 +550,9 @@ class ICTable:
             return math.inf
         if value >= self.total:
             return 0.0
-        return -math.log(value / self.total)
+        # A ratio too small for a float is taken as a difference of logs.
+        p = value / self.total
+        return -math.log(p) if p else math.log(self.total) - math.log(value)
 
 
 def ic_from_counts(
@@ -704,26 +713,25 @@ def jiang_conrath(tax: Taxonomy, ic: ICTable, lemma1: str, lemma2: str) -> float
     """
     if ic.ids is not tax._ids and not np.array_equal(ic.ids, tax._ids):
         raise ValueError("the IC table was built for another taxonomy")
-    offs1 = tax.synsets_of(lemma1)
-    offs2 = tax.synsets_of(lemma2)
-    if not set(offs1).isdisjoint(offs2):
+    senses1 = tax._senses_of(lemma1).tolist()
+    senses2 = tax._senses_of(lemma2).tolist()
+    if not set(senses1).isdisjoint(senses2):
         return 0.0
-
-    def subsumers(offset):  # as dense ids
-        return set(tax._row(tax._closure, offset).tolist())
-
-    # Each synset's subsumer set is built once per call.
-    second = [(ic.ic(s2), subsumers(s2)) for s2 in offs2
-              if not math.isinf(ic.ic(s2))]
+    # The LCS of two synsets is their common subsumer of least cumulative
+    # count, the one of largest ic.  Closure rows are read once per call.
+    indptr, closure = tax._closure
+    second = [(ic._ic(d), set(closure[indptr[d]:indptr[d + 1]].tolist()))
+              for d in senses2 if not math.isinf(ic._ic(d))]
     best = math.inf
-    for s1 in offs1:
-        ic1 = ic.ic(s1)
+    for d in senses1:
+        ic1 = ic._ic(d)
         if math.isinf(ic1):
             continue
-        sub1 = subsumers(s1)
+        row = closure[indptr[d]:indptr[d + 1]]
+        counts = dict(zip(row.tolist(), ic.cumulative[row].tolist()))
         for ic2, sub2 in second:
-            lcs_ic = max(map(ic._ic, sub1 & sub2))
-            distance = ic1 + ic2 - 2.0 * lcs_ic
+            lcs = min(sub2.intersection(counts), key=counts.__getitem__)
+            distance = ic1 + ic2 - 2.0 * ic._ic(lcs)
             if distance < best:
                 best = max(distance, 0.0)
     return best

@@ -296,7 +296,7 @@ def shortest_path(tax, lemma1, lemma2):
     """`wordnet.shortest_path` with `layered_search` as its search."""
     offs1 = tax.synsets_of(lemma1)
     offs2 = tax.synsets_of(lemma2)
-    swapped = lemma1.lower() > lemma2.lower()
+    swapped = normalize_tag(lemma1) > normalize_tag(lemma2)
     sources, targets = (set(offs2), set(offs1)) if swapped else (set(offs1), set(offs2))
     shared = sources & targets
     if shared:
@@ -737,3 +737,34 @@ def bincount_cumulative(tax, lemma_counts=None, synset_counts=None,
     indptr, anc = tax._closure
     mass = np.repeat(own, np.diff(indptr))
     return np.bincount(anc, weights=mass, minlength=len(tax._ids))
+
+
+def jiang_conrath(tax, ic, lemma1, lemma2):
+    """`wordnet.jiang_conrath` as it was before it scored on dense ids: each
+    synset's subsumers a set, and the LCS ic the largest ic over the
+    intersection of two such sets, each ic looked up by offset."""
+    if ic.ids is not tax._ids and not np.array_equal(ic.ids, tax._ids):
+        raise ValueError("the IC table was built for another taxonomy")
+    offs1 = tax.synsets_of(lemma1)
+    offs2 = tax.synsets_of(lemma2)
+    if not set(offs1).isdisjoint(offs2):
+        return 0.0
+
+    def subsumers(offset):  # as dense ids
+        return set(tax._row(tax._closure, offset).tolist())
+
+    # Each synset's subsumer set is built once per call.
+    second = [(ic.ic(s2), subsumers(s2)) for s2 in offs2
+              if not math.isinf(ic.ic(s2))]
+    best = math.inf
+    for s1 in offs1:
+        ic1 = ic.ic(s1)
+        if math.isinf(ic1):
+            continue
+        sub1 = subsumers(s1)
+        for ic2, sub2 in second:
+            lcs_ic = max(map(ic._ic, sub1 & sub2))
+            distance = ic1 + ic2 - 2.0 * lcs_ic
+            if distance < best:
+                best = max(distance, 0.0)
+    return best

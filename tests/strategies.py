@@ -10,8 +10,10 @@ from folkrel.wordnet import Taxonomy
 
 TAG_POOL = [f"tag{i}" for i in range(8)]
 # Non-ASCII, mixed-case and decomposed tags: ties between them must break
-# by the code-point order of their normalized forms.
-UNICODE_TAG_POOL = ["web", "Web2", "éa", "ea", "z", "ß", "ω", "日本", "a\u0301"]
+# by the code-point order of their normalized forms.  "H\u0331" lowers to a
+# string that is not NFC; it and "\u1e96" are one tag.
+UNICODE_TAG_POOL = ["web", "Web2", "éa", "ea", "z", "ß", "ω", "日本", "a\u0301",
+                    "H\u0331", "\u1e96"]
 USER_POOL = [f"user{i}" for i in range(5)]
 RESOURCE_POOL = [f"res{i}" for i in range(5)]
 LEMMA_POOL = [f"lem{i}" for i in range(10)]

@@ -547,6 +547,17 @@ def test_ground_uncovered_corpus_still_succeeds(tmp_path, capsys):
     assert "undefined" in (out / "report_semdist.tsv").read_text()
 
 
+def test_ground_queries_a_tag_whose_lowering_composes(tmp_path, capsys):
+    # "H\u0331" lowers to "h\u0331", whose NFC is the one tag "\u1e96".
+    posts = tmp_path / "posts.tsv"
+    posts.write_bytes("u1\tr1\tH\u0331,web\nu2\tr2\tweb,design\n".encode())
+    code, stdout, err = run(capsys, "ground", "--posts", str(posts),
+                            "--wordnet-dir", str(WNDB_DIR),
+                            "--out", str(tmp_path / "report"))
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[0] == "coverage: 0/3 tags (0.000000)"
+
+
 # -- stats and parser plumbing -------------------------------------------
 
 def test_stats_prints_ranked_frequencies(posts, capsys):

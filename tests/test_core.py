@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import io
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkrel.core import (Folksonomy, PostsParseError, UnknownTagError,
                           normalize_tag, parse_posts, restrict_to_top_tags,
@@ -60,6 +63,30 @@ def test_tag_normalization_nfc_and_case():
     assert f.num_tags == 1
     assert f.has_tag("CAFÉ")
     assert normalize_tag("Café") == "café"
+
+
+def test_normalize_tag_is_idempotent_on_every_code_point_and_mark_pair():
+    # Lowering can leave a string that is not NFC: "H\u0331" lowers to
+    # "h\u0331", which composes to "\u1e96".
+    assert normalize_tag("H\u0331") == normalize_tag("\u1e96") == "\u1e96"
+    singles = map(chr, range(sys.maxunicode + 1))
+    pairs = (chr(base) + chr(mark) for base in range(0x41, 0x2000)
+             for mark in range(0x300, 0x370))
+    failing = [text for texts in (singles, pairs) for text in texts
+               if normalize_tag(normalize_tag(text)) != normalize_tag(text)]
+    assert failing == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_normalize_tag_is_idempotent(text):
+    assert normalize_tag(normalize_tag(text)) == normalize_tag(text)
+
+
+def test_tags_equal_after_normalization_are_one_tag():
+    f = parse_posts(io.BytesIO("u1\tr1\tH\u0331,web\nu2\tr2\t\u1e96\n".encode()))
+    assert sorted(f.tags) == ["web", "\u1e96"]
+    assert f.tag_id("H\u0331") == f.tag_id("\u1e96")
 
 
 def test_tag_whitespace_is_kept():

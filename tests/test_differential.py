@@ -30,8 +30,9 @@ from folkrel.folkrank import (PreferenceError, build_folkgraph,
 from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
 from folkrel.wndb import (SynsetSpec, WndbFormatError, key_text, parse_data,
                           parse_index, render_database)
-from folkrel.wordnet import (ROOT, Taxonomy, TaxonomyStructureError, TaxPath,
-                             _smallest_label, ic_from_counts, shortest_path)
+from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
+                             TaxonomyStructureError, TaxPath, _smallest_label,
+                             ic_from_counts, jiang_conrath, shortest_path)
 
 import oracles
 from strategies import (LEMMA_POOL, RESOURCE_POOL, TAG_POOL, UNICODE_TAG_POOL,
@@ -496,6 +497,28 @@ def assert_whole_size_forms(tax, lemma_counts, synset_counts, smoothing):
 
 @CASES
 @given(taxonomy_inputs(), st.data())
+def test_jiang_conrath_matches_the_set_based_oracle(inputs, data):
+    # Lemmas share synsets and have several senses; without smoothing,
+    # uncounted synsets have infinite ic.
+    tax = Taxonomy.build("noun", *inputs)
+    lemma_counts = data.draw(st.dictionaries(
+        st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
+    synset_counts = data.draw(st.dictionaries(st.sampled_from(list(inputs[0])),
+                                              counts))
+    smoothing = data.draw(st.sampled_from([0.0, 0.0, 1.0, 0.1, 1e-17]))
+    try:
+        ic = ic_from_counts(tax, lemma_counts, synset_counts, smoothing)
+    except IcCountsError:  # no mass at all
+        assume(False)
+    lemmas = sorted(tax.lemmas)
+    for a in lemmas:
+        for b in lemmas:
+            assert jiang_conrath(tax, ic, a, b) == \
+                oracles.jiang_conrath(tax, ic, a, b), (a, b)
+
+
+@CASES
+@given(taxonomy_inputs(), st.data())
 def test_closure_and_ic_match_their_whole_size_forms(inputs, data):
     # Chunks of 1 and 3 entries put one row, or a few, in each pass.
     tax = Taxonomy.build("noun", *inputs)
@@ -559,6 +582,20 @@ def key_inputs(draw):
 def test_key_column_matches_dict_oracle(inputs):
     assert_same_keys(Taxonomy.build("noun", *inputs),
                      oracles.DictTaxonomy(*inputs))
+
+
+@CASES
+@given(key_inputs(), st.lists(st.sampled_from(KEY_TAGS + ["H\u0331", "\u1e96"]),
+                              max_size=12))
+def test_batched_match_matches_the_per_tag_matcher(inputs, tags):
+    # Hyphenated, unknown, NFD and mixed-case tags, tags longer than every
+    # key, repeats and the empty list, in one search per list.
+    tax = Taxonomy.build("noun", *inputs)
+    ref = oracles.DictTaxonomy(*inputs)
+    want = [oracle_match(ref, tag) for tag in tags]
+    assert tax.match_lemmas(tags) == want
+    assert [tax.match_lemma(tag) for tag in tags] == want
+    assert tax.match_lemmas([]) == []
 
 
 @CASES
@@ -916,6 +953,14 @@ def test_large_database_parses_like_the_oracle(pos, n):
 
 # -- shortest taxonomy paths against the one-sided labelled BFS ----------
 
+def offset_label(tax, sources, targets):
+    """`_smallest_label` between two sets of synset offsets, its label's
+    nodes as offsets; it takes and returns dense ids."""
+    comp, nodes = _smallest_label(tax, set(tax._dense(sorted(sources)).tolist()),
+                                  set(tax._dense(sorted(targets)).tolist()))
+    return comp, tuple(tax._ids[list(nodes)].tolist())
+
+
 def assert_same_paths(tax, pairs):
     """Same TaxPath as the oracle in both argument orders and, for
     disjoint synset sets, the same (composition, nodes) label from either
@@ -925,7 +970,7 @@ def assert_same_paths(tax, pairs):
         assert shortest_path(tax, b, a) == oracles.shortest_path(tax, b, a), (b, a)
         one, other = set(tax.synsets_of(a)), set(tax.synsets_of(b))
         if one.isdisjoint(other):
-            assert _smallest_label(tax, one, other) == \
+            assert offset_label(tax, one, other) == \
                 oracles.layered_search(tax, one, other), (a, b)
 
 
@@ -1023,5 +1068,5 @@ def test_ties_after_the_meeting_layer(name):
     tax, label = TIES_AFTER_MEETING[name]
     sources, targets = set(tax.synsets_of("a")), set(tax.synsets_of("b"))
     assert oracles.layered_search(tax, sources, targets) == label
-    assert _smallest_label(tax, sources, targets) == label
+    assert offset_label(tax, sources, targets) == label
     assert_same_paths(tax, [("a", "b")])

@@ -63,6 +63,27 @@ def test_coverage_counts_each_pos(t1):
     assert cov["per_pos"]["verb"]["fraction"] == pytest.approx(2 / 3)
 
 
+def test_report_matches_each_taxonomy_once(toy, t1, monkeypatch):
+    # The coverage entry and every measure's pairs read one table: one
+    # batched search per loaded taxonomy, adjectives included.
+    calls = []
+    match_lemmas = Taxonomy.match_lemmas
+
+    def counted(tax, tags):
+        calls.append((tax.pos, len(tags)))
+        return match_lemmas(tax, tags)
+
+    monkeypatch.setattr(Taxonomy, "match_lemmas", counted)
+    verb = Taxonomy.build("verb", {100: ["bark"], 200: ["dog"]}, {})
+    adj = Taxonomy.build("adj", {100: ["cat"]}, {})
+    evaluator = GroundingEvaluator(toy, {"noun": t1, "verb": verb, "adj": adj})
+    report = evaluator.report()
+    assert sorted(calls) == [("adj", 4), ("noun", 4), ("verb", 4)]
+    assert report["coverage"] == coverage(sorted(toy.tags),
+                                          {"noun": t1, "verb": verb, "adj": adj})
+    assert report["coverage"]["per_pos"]["adj"]["covered"] == 1
+
+
 # -- pair scoring and skip accounting ------------------------------------
 
 def test_semantic_pairs_on_toy_corpus(toy_eval):

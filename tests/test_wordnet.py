@@ -5,7 +5,7 @@ import io
 import math
 import random
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -475,6 +475,41 @@ def test_path_crosses_root_between_hierarchies():
     assert path.composition == ("up", "down")
 
 
+def test_path_orientation_follows_the_normalized_lemmas():
+    # "é" lies under "p" and "q", "p" under "f" and "f" under "q".  From
+    # "é" the smallest path to "f" goes up-up through "p"; from "f" it goes
+    # up-down through "q".  The search runs from the lemma whose normalized
+    # form sorts first, "f", whichever spelling of "é" is queried.
+    tax = Taxonomy.build("noun", {10: ("q",), 20: ("f",), 30: ("p",), 40: ("é",)},
+                         {20: [10], 30: [20], 40: [30, 10]})
+    nfc, nfd = "\u00e9", "e\u0301"
+    assert shortest_path(tax, nfc, "f").composition == ("up", "down")
+    assert shortest_path(tax, nfd, "f") == shortest_path(tax, nfc, "f")
+    assert shortest_path(tax, "f", nfd) == shortest_path(tax, "f", nfc)
+    assert shortest_path(tax, "E\u0301", "F") == shortest_path(tax, nfc, "f")
+
+
+class Unsearchable(np.ndarray):
+    """Synset offsets that refuse the binary search mapping them to dense
+    ids."""
+
+    def searchsorted(self, *args, **kwargs):
+        raise AssertionError("an offset was looked up")
+
+
+def test_distances_look_up_no_offset(t1, t1_ic):
+    # Both distances take the lemmas' dense ids from the lemma index, and
+    # offsets only come out, by indexing, in the returned path.
+    tax = Taxonomy(t1.pos, t1._keys, t1._senses, t1._ids.view(Unsearchable),
+                   t1._up, t1._down, t1._closure)
+    ic = replace(t1_ic, ids=tax._ids)
+    lemmas = ["dog", "cat", "car", "animal", "entity"]
+    for a in lemmas:
+        for b in lemmas:
+            assert shortest_path(tax, a, b) == shortest_path(t1, a, b)
+            assert jiang_conrath(tax, ic, a, b) == jiang_conrath(t1, t1_ic, a, b)
+
+
 def test_path_matches_bfs_oracle(t1):
     import oracles
     lemmas = ["dog", "cat", "car", "animal", "artifact", "entity"]
@@ -619,6 +654,14 @@ def test_jcn_reads_only_an_ic_table_of_the_same_synsets(t1, t1_ic):
                          FIXTURE_DIR / "wndb" / "data.noun", "noun")
     assert jiang_conrath(same, t1_ic, "dog", "car") == \
         jiang_conrath(t1, t1_ic, "dog", "car")
+
+
+def test_ic_of_a_count_too_small_for_its_share_of_the_total():
+    # 1e-313 / 1e16 underflows to 0.0, whose log is a domain error.
+    tax = Taxonomy.build("noun", {1: ["tiny"], 2: ["huge"]})
+    ic = ic_from_counts(tax, synset_counts={1: 1e-313, 2: 1e16}, smoothing=0.0)
+    assert ic.ic(1) == pytest.approx(math.log(1e16) - math.log(1e-313))
+    assert jiang_conrath(tax, ic, "tiny", "huge") == ic.ic(1) + ic.ic(2)
 
 
 def test_jcn_minimizes_over_synset_pairs():
