@@ -33,10 +33,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import Folksonomy, _by_frequency
+# cosine_relatedness and folkrank_relatedness are not called here; they
+# stay importable from this module because bench/spans.py wraps them here.
 from .distributional import (CoGraph, RelatedTag, build_cooccurrence,
-                             cosine_relatedness, freq_relatedness)
-# folkrank_relatedness is not called here; it stays importable from this
-# module because bench/spans.py wraps it here for the relate queries.
+                             cosine_relatedness, cosine_top_lists,
+                             freq_relatedness)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
                        DEFAULT_TOL, FolkGraph, RankVector, _related,
                        build_folkgraph, folkrank_relatedness, rank, rank_tags)
@@ -258,8 +259,8 @@ class GroundingEvaluator:
         if measure == "freq":
             result = {t: freq_relatedness(self.cograph, t).top(k) for t in self._tags}
         elif measure == "cosine":
-            result = {t: cosine_relatedness(self.cograph, t, k).items
-                      for t in self._tags}
+            result = dict(sorted(zip(self.folksonomy.tags,
+                                     cosine_top_lists(self.cograph, k))))
         elif measure == "folkrank":
             result = self._folkrank[0]
         else:

@@ -215,6 +215,14 @@ def sparse_cooccurrence(f):
     return matrix, norm_sq
 
 
+def gather_dots(g, tid):
+    """One tag's exact int64 dots with every tag, as the sum of its
+    neighbors' rows of X weighted by its counts: the row gather that the
+    mat-vec in ``CoGraph.dots`` replaced."""
+    cols, weights = g.row(tid)
+    return g.matrix[cols].T @ weights
+
+
 def dense_cosine(f, t1, t2):
     """Cosine from full dense context vectors with a zero self-coordinate."""
     counts = cooccurrence_counts(f)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .wndb import SynsetSpec, write_database
+from folkrel.wndb import SynsetSpec, write_database
 
 
 @dataclass(frozen=True)

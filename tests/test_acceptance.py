@@ -21,12 +21,12 @@ from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
                                     cosine_similarity, freq_relatedness)
 from folkrel.folkrank import build_folkgraph, folkrank_relatedness, rank
 from folkrel.grounding import REPORT_FILES, GroundingEvaluator
-from folkrel.synth import synonym_corpus, uniform_posts, write_synonym_corpus
 from folkrel.wordnet import (ic_from_counts, jiang_conrath, load_taxonomy,
                              load_wordnet_dir, shortest_path)
 
 import oracles
 from conftest import F1_TEXT, FIXTURE_DIR
+from synth import synonym_corpus, uniform_posts, write_synonym_corpus
 
 LN2 = math.log(2.0)
 

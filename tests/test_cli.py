@@ -10,11 +10,11 @@ from folkrel.cli import WORDNET_ENV, main
 from folkrel.core import load_posts
 from folkrel.grounding import (METRIC_POS, REPORT_FILES, GroundingEvaluator,
                                write_report_files)
-from folkrel.synth import synonym_corpus, write_synonym_corpus
 from folkrel.wndb import SynsetSpec, write_database
 from folkrel.wordnet import load_ic, load_wordnet_dir, parse_ic_counts
 
 from conftest import F1_TEXT, FIXTURE_DIR
+from synth import synonym_corpus, write_synonym_corpus
 
 WNDB_DIR = FIXTURE_DIR / "wndb"
 GOLDEN_DIR = FIXTURE_DIR / "ground_golden"

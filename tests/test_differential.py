@@ -1,5 +1,6 @@
-"""Differential tests: the array corpus, the CSR co-occurrence graph, the
-numpy FolkRank selection, the FolkRank block walk (``rank`` and every
+"""Differential tests: the array corpus, the CSR co-occurrence graph and
+its dot products (one tag's and the all-tags cosine blocks), the numpy
+FolkRank selection, the FolkRank block walk (``rank`` and every
 column of ``rank_tags``), the array-built WNdb taxonomy and the
 bidirectional path search against the references in ``oracles``.
 
@@ -20,11 +21,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel import wordnet
+from folkrel import distributional, wordnet
 from folkrel.core import (Folksonomy, UnknownTagError, normalize_tag,
                           restrict_to_top_tags, tag_stats)
-from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
-                                    cosine_similarity, freq_relatedness)
+from folkrel.distributional import (CoGraph, build_cooccurrence,
+                                    cosine_relatedness, cosine_similarity,
+                                    freq_relatedness)
 from folkrel.folkrank import (PreferenceError, build_folkgraph,
                               folkrank_relatedness, rank, rank_tags)
 from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
@@ -90,6 +92,84 @@ def test_cograph_matches_dict_oracle(posts, k):
         for b in f.tags:
             assert g.weight(a, b) == ref.weight(a, b)
             assert cosine_similarity(g, a, b) == ref.cosine_similarity(a, b)
+
+
+@CASES
+@given(corpora())
+@example(ISOLATED)
+def test_cograph_dots_match_gather_and_dict_oracle(posts):
+    f = Folksonomy.from_posts(posts)
+    g = build_cooccurrence(f)
+    ref = oracles.DictCoGraph(f)
+    for tid in range(f.num_tags):
+        got = g.dots(tid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracles.gather_dots(g, tid))
+        assert got.tolist() == [ref.dot(tid, j) for j in range(f.num_tags)]
+
+
+def zipf_posts(seed, num_posts, num_tags):
+    """Posts of 1-12 tags drawn by a power law, so a few hub tags co-occur
+    with nearly every tag."""
+    rng = random.Random(seed)
+    tags = [f"t{i}" for i in range(num_tags)]
+    weights = [1 / (r + 1) for r in range(num_tags)]
+    return [(f"u{rng.randrange(30)}", f"r{rng.randrange(200)}",
+             rng.choices(tags, weights, k=rng.randint(1, 12)))
+            for _ in range(num_posts)]
+
+
+def assert_cosine_lists_match_relatedness(f, k, rows=None, fallback=False):
+    """The evaluator's all-tags cosine lists equal `cosine_relatedness`'s,
+    with dense blocks of ``rows`` rows (the default byte bound when None),
+    or through the per-tag fallback when ``fallback``."""
+    evaluator = GroundingEvaluator(f, {}, k=k)
+    g = evaluator.cograph
+    per_tag = []
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(distributional, "DOT_BLOCK_BYTES", 8 * rows * f.num_tags)
+        if fallback:
+            mp.setattr(distributional, "EXACT_DOT_BOUND", int(g.norm_sq.max()))
+        dots = CoGraph.dots
+
+        def counted(self, tid):
+            per_tag.append(tid)
+            return dots(self, tid)
+
+        mp.setattr(CoGraph, "dots", counted)
+        got = evaluator.top_related("cosine")
+    assert per_tag == (list(range(f.num_tags)) if fallback else [])
+    assert list(got) == sorted(f.tags)
+    for tag, items in got.items():
+        assert items == cosine_relatedness(g, tag, k).items
+
+
+@CASES
+@given(corpora(), st.integers(1, 12), st.sampled_from([1, 3, 50, None]))
+@example(ISOLATED, 12, 1)  # an empty profile, k past the candidates
+@example(ISOLATED, 1, 3)
+@example([], 3, 1)
+# One post with more tags than a block has rows.
+@example([("u1", "r1", [f"t{i}" for i in range(7)]),
+          ("u2", "r2", ["t0", "t8"])], 10, 3)
+def test_evaluator_cosine_lists_match_relatedness(posts, k, rows):
+    assert_cosine_lists_match_relatedness(Folksonomy.from_posts(posts), k, rows)
+
+
+@CASES
+@given(corpora(), st.integers(1, 12))
+@example(ISOLATED, 12)
+def test_evaluator_cosine_lists_fall_back_past_the_exact_bound(posts, k):
+    assert_cosine_lists_match_relatedness(Folksonomy.from_posts(posts), k,
+                                          fallback=True)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+def test_evaluator_cosine_lists_on_hub_heavy_corpus(rows):
+    f = Folksonomy.from_posts(zipf_posts(11, 600, 120))
+    assert f.num_tags > 100
+    assert_cosine_lists_match_relatedness(f, 10, rows)
 
 
 @CASES

@@ -6,7 +6,8 @@ import pytest
 
 from folkrel.core import Folksonomy, UnknownTagError
 from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
-                                    cosine_similarity, freq_relatedness)
+                                    cosine_similarity, cosine_top_lists,
+                                    freq_relatedness)
 
 import oracles
 
@@ -129,3 +130,5 @@ def test_cosine_relatedness_rejects_bad_k(f1):
     g = build_cooccurrence(f1)
     with pytest.raises(ValueError):
         cosine_relatedness(g, "web", 0)
+    with pytest.raises(ValueError):
+        cosine_top_lists(g, 0)

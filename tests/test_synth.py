@@ -4,10 +4,10 @@ import io
 import itertools
 
 from folkrel.core import parse_posts
-from folkrel.synth import synonym_corpus, uniform_posts, write_synonym_corpus
 from folkrel.wordnet import load_wordnet_dir
 
 import oracles
+from synth import synonym_corpus, uniform_posts, write_synonym_corpus
 
 
 def test_synonym_corpus_is_deterministic():
