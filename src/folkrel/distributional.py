@@ -1,14 +1,12 @@
 """Tag-tag co-occurrence graph and distributional relatedness queries.
 
 Two tags co-occur when some post contains both; the edge weight is the
-number of such posts.  The graph is one symmetric int64 CSR matrix X over
-tags, built as Bᵀ·B from the corpus's post×tag 0/1 incidence matrix B with
-the diagonal dropped and the column indices of every row sorted.  Each row of
-X doubles as the tag's context vector (with a zero self-coordinate), so
-cosine similarity between tags is the normalized dot product of their
-rows.  Only the final division is floating point, which makes cosine
-values exactly symmetric and exactly invariant under uniform weight
-scaling.
+number of such posts.  The graph is one symmetric int64 CSR matrix X =
+Bᵀ·B over tags, B the corpus's post×tag 0/1 incidence matrix, with the
+diagonal dropped and every row's column indices sorted.  Each row of X is
+the tag's context vector, so cosine similarity is the normalized dot
+product of two rows; only the final division is floating point, which
+makes cosine values exactly symmetric and invariant under uniform scaling.
 
 Dot products come from whole-matrix products, and they are exact:
 
@@ -22,7 +20,8 @@ Dot products come from whole-matrix products, and they are exact:
   non-negative integer no larger than that (by Cauchy-Schwarz), hence
   exact in float64 whatever the summation order or thread count, and
   equal to the int64 dots.  Past that bound the lists fall back to one
-  mat-vec per tag.
+  mat-vec per tag.  Like `freq_top_lists`, they score blocks of rows by
+  the per-tag query's expression and keep each row's top k by `_select`.
 
 The graph is immutable after build; all queries are pure.
 """
@@ -39,8 +38,8 @@ from .core import Folksonomy
 # All-tags dots run in float64 dense blocks only while this bounds every
 # squared row norm, so that every partial sum is an exact integer.
 EXACT_DOT_BOUND = 2**53
-# Bytes of one dense float64 row block of X in `cosine_top_lists`; a pass
-# holds three such blocks (its rows, one column block and their dots).
+# Bytes of one dense float64 row block of X in the all-tags lists; a cosine
+# pass holds about five: rows, column block, dots, scores, argpartition's.
 DOT_BLOCK_BYTES = 32 << 20
 
 
@@ -62,9 +61,6 @@ class RelatedList:
 
     def top(self, k: int) -> tuple[RelatedTag, ...]:
         return self.items[:k]
-
-    def tags(self) -> tuple[str, ...]:
-        return tuple(it.tag for it in self.items)
 
 
 class CoGraph:
@@ -107,10 +103,6 @@ class CoGraph:
         row[cols] = weights
         return self.matrix @ row
 
-    def weight(self, t1: str, t2: str) -> int:
-        """Stored post count for the pair; 0 when absent (and for t1 == t2)."""
-        return int(self.matrix[self.corpus.tag_id(t1), self.corpus.tag_id(t2)])
-
     def edge_count(self) -> int:
         return self.matrix.nnz // 2
 
@@ -135,14 +127,66 @@ def build_cooccurrence(f: Folksonomy) -> CoGraph:
 
 
 def _ranked(g, ids: np.ndarray, scores: np.ndarray, k: int | None = None):
-    """RelatedTags for tag ids ``ids`` by score descending, then tag string.
-
-    ``g`` is a CoGraph or a FolkGraph; names and string order come from
-    the tag table of its corpus, ``g.corpus``."""
+    """RelatedTags for tag ids ``ids`` by score descending, then tag string,
+    named and ordered by the corpus of ``g``, a CoGraph or a FolkGraph."""
     f = g.corpus
     order = np.lexsort((f.tag_rank[ids], -scores))[:k]
     return tuple(RelatedTag(f.tags[i], s) for i, s in
                  zip(ids[order].tolist(), scores[order].tolist()))
+
+
+def _select(scores: np.ndarray, candidates: np.ndarray, k: int,
+            tag_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top k in `_ranked`'s order, for B×n finite ``scores``
+    (overwritten) and ``candidates`` over tag ids: B×k int32 ids, -1 past
+    the candidates, and float64 scores, NaN past them.  `argpartition`
+    keeps the k smallest keys (-score) but any share of the ties at the
+    k-th; the tie pass keeps those first in string order instead."""
+    key = np.negative(scores, out=scores)
+    key[~candidates] = np.inf
+    b, n = key.shape
+    part = np.broadcast_to(np.arange(n), (b, n))
+    if k < n:
+        part = np.argpartition(key, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(key, part, 1).max(1, keepdims=True)
+        rows = np.flatnonzero(((key <= kth).sum(1) > k) & (kth[:, 0] < np.inf))
+        if rows.size:
+            by_string = np.argsort(tag_rank)
+            chosen, ties = key[rows] < kth[rows], (key[rows] == kth[rows])[:, by_string]
+            need = k - chosen.sum(1, keepdims=True)
+            chosen[:, by_string] |= ties & (ties.cumsum(1) <= need)
+            part[rows] = np.nonzero(chosen)[1].reshape(-1, k)
+    key = np.take_along_axis(key, part, 1)
+    order = np.lexsort((tag_rank[part], key), axis=1)
+    part, key = np.take_along_axis(part, order, 1), np.take_along_axis(key, order, 1)
+    listed = np.arange(part.shape[1]) < candidates.sum(1, keepdims=True)
+    ids, top = np.full((b, k), -1, dtype=np.int32), np.full((b, k), np.nan)
+    ids[:, :n][listed], top[:, :n][listed] = part[listed], -key[listed]
+    return ids, top
+
+
+def _top_lists(g: CoGraph, k: int, scored, size: int = 0):
+    """`_select`'s arrays of all tags, by id, from ``scored(lo, hi)``'s (scores,
+    candidates) of tags lo..hi-1 in blocks of ``size`` (or DOT_BLOCK_BYTES)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = g.corpus.num_tags
+    size = size or max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
+    ids, scores = np.empty((n, k), dtype=np.int32), np.empty((n, k))
+    for lo in range(0, n, size):
+        ids[lo:lo + size], scores[lo:lo + size] = _select(
+            *scored(lo, min(lo + size, n)), k, g.corpus.tag_rank)
+    return ids, scores
+
+
+def freq_top_lists(g: CoGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`freq_relatedness(g, tag).top(k)` of every tag as `_top_lists`; as X
+    stores no zeros, its positive entries are its stored ones."""
+    def scored(lo, hi):
+        rows = g.matrix[lo:hi].astype(np.float64).toarray()
+        return rows, rows > 0
+
+    return _top_lists(g, k, scored)
 
 
 def freq_relatedness(g: CoGraph, tag: str) -> RelatedList:
@@ -171,16 +215,15 @@ def cosine_similarity(g: CoGraph, t1: str, t2: str) -> float:
     return min(1.0, int(weights_i[at_i] @ weights_j[at_j]) / float(denom))
 
 
-def _cosine_top(g: CoGraph, tid: int, dots: np.ndarray, k: int):
-    """Top-k RelatedTags of tag ``tid`` from its dots with every tag.
-
-    Only two-hop neighbors can score above zero; they are exactly the
-    nonzero dots other than the tag's own.  ``dots`` may be int64 or
-    exact float64; it is overwritten at ``tid``."""
-    dots[tid] = 0
-    cands = np.flatnonzero(dots)
-    scores = np.minimum(1.0, dots[cands] / (g.norms[tid] * g.norms[cands]))
-    return _ranked(g, cands, scores, k)
+def _cosine_scores(g: CoGraph, lo: int, dots: np.ndarray):
+    """`cosine_relatedness`'s scores and candidates of tags lo, lo + 1, ...
+    from their rows of dots (int64 or exact float64; overwritten)."""
+    b = len(dots)
+    dots[np.arange(b), lo + np.arange(b)] = 0
+    scores = np.multiply.outer(g.norms[lo:lo + b], g.norms)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 off candidates
+        np.divide(dots, scores, out=scores)
+    return np.minimum(scores, 1.0, out=scores), dots != 0
 
 
 def cosine_relatedness(g: CoGraph, tag: str, k: int) -> RelatedList:
@@ -188,41 +231,38 @@ def cosine_relatedness(g: CoGraph, tag: str, k: int) -> RelatedList:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tid = g.corpus.tag_id(tag)
+    dots = g.dots(tid)
+    dots[tid] = 0
+    cands = np.flatnonzero(dots)  # the two-hop neighbors
+    scores = np.minimum(1.0, dots[cands] / (g.norms[tid] * g.norms[cands]))
     return RelatedList(source=g.corpus.tags[tid],
-                       items=_cosine_top(g, tid, g.dots(tid), k))
+                       items=_ranked(g, cands, scores, k))
 
 
-def cosine_top_lists(g: CoGraph, k: int) -> list[tuple[RelatedTag, ...]]:
-    """`cosine_relatedness(g, tag, k).items` for every tag, by tag id.
+def cosine_top_lists(g: CoGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`cosine_relatedness(g, tag, k).items` of every tag, as `_top_lists`.
 
-    The dots come a block of rows at a time: the row block of X times
-    each column block, both dense float64, in one BLAS product per pair
-    of blocks (the diagonal pair as one symmetric product).  Every
-    row is then scored exactly as `cosine_relatedness` scores it.  The
-    upper triangle is not reused: its tiles would have to be held until
-    their row block comes up, half of all n² dots at once.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    Each row block of X times each column block, both dense float64, is
+    one BLAS product (the diagonal pair a symmetric one).  The upper
+    triangle is not reused: its tiles would have to be held until their
+    row block comes up, half of all n² dots at once."""
+    if g.norm_sq.max(initial=0) >= EXACT_DOT_BOUND:
+        return _top_lists(g, k, lambda lo, hi: _cosine_scores(
+            g, lo, g.dots(lo)[None]), 1)
     n = g.corpus.num_tags
-    if n == 0:
-        return []
-    if g.norm_sq.max() >= EXACT_DOT_BOUND:
-        return [_cosine_top(g, tid, g.dots(tid), k) for tid in range(n)]
-    size = max(1, DOT_BLOCK_BYTES // (8 * n))
-    starts = range(0, n, size)
+    size = max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
 
-    def dense(lo: int, order: str) -> np.ndarray:
+    def dense(lo: int, order: str = "C") -> np.ndarray:
         return g.matrix[lo:lo + size].astype(np.float64).toarray(order)
 
-    tops = []
-    for lo in starts:
+    def scored(lo, hi):
         # Both operands column-major was the fastest dgemm layout
         # (OpenBLAS, 47 against 38 GFLOP/s at 419×10,000 blocks).
         rows = dense(lo, "F")
-        dots = np.empty((len(rows), n))
-        for col in starts:
-            cols = rows if col == lo else dense(col, "C")
+        dots = np.empty((hi - lo, n))
+        for col in range(0, n, size):
+            cols = rows if col == lo else dense(col)
             np.matmul(rows, cols.T, out=dots[:, col:col + size])
-        tops += [_cosine_top(g, lo + i, row, k) for i, row in enumerate(dots)]
-    return tops
+        return _cosine_scores(g, lo, dots)
+
+    return _top_lists(g, k, scored, size)

@@ -1,19 +1,13 @@
 """FolkRank: differential random-surfer ranking on the folded folksonomy.
 
 The tripartite assignment set folds into an undirected weighted graph over
-users, tags and resources: each triple (u, t, r) contributes one unit to
-the u-t, t-r and u-r edges.  Ranking runs a damped power iteration
-
-    w <- d * A * w + (1 - d) * p
-
-where A is the column-stochastic normalization of the adjacency and p a
-preference (teleport) vector.  Relatedness of a tag is read off the
-differential between the ranks with preference concentrated on that tag
-and the ranks under the uniform preference.
-
-Graphs are immutable after build; every node has degree >= 1 (each user,
-tag and resource occurs in at least one triple), so there is no dangling
-mass to redistribute.
+users, tags and resources: each triple (u, t, r) adds one unit to the u-t,
+t-r and u-r edges.  Graphs are immutable after build, and every node has
+degree >= 1, so no mass dangles.  Ranking runs the damped power iteration
+w <- d * A * w + (1 - d) * p, A the column-stochastic adjacency and p a
+preference (teleport) vector.  A tag's relatedness is the differential
+between the ranks with preference concentrated on it and the ranks under
+the uniform preference.
 
 One power iteration serves every walk: it runs an n×B block of preference
 columns, and ``rank`` is its one-column case.  ``rank_tags`` runs many
@@ -22,6 +16,16 @@ block around it (the CSR multi-vector product accumulates every column in
 the order of the single-vector product, and each residual is summed over a
 contiguous row), so every column stops at the same iteration with the same
 weights as its own ``rank``.
+
+The exact residual is summed only when some column can stop.  Each
+iteration first sums |w_next - w| over the tag rows, a contiguous slab
+holding a fixed share of the residual (each node type carries a third of
+the weighted degree).  Its terms are >= 0 and summing m such terms in any
+order moves the sum by at most (m-1)u/(1-(m-1)u) of itself, u = 2**-53,
+so the computed full residual is at least the computed tag sum times
+1 - 3nu, the rounding of that product included.  While that bound is
+above ``tol`` for every running column, before ``max_iter``, none stops;
+otherwise the exact residual decides as before, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import Folksonomy
-from .distributional import RelatedList, RelatedTag, _ranked
-
-KIND_USER = "user"
-KIND_TAG = "tag"
-KIND_RESOURCE = "resource"
+from .distributional import RelatedList, _ranked
 
 DEFAULT_DAMPING = 0.7
 DEFAULT_BETA = 0.5
@@ -71,7 +71,7 @@ class FolkGraph:
     """
 
     __slots__ = ("corpus", "users", "tags", "resources", "adjacency",
-                 "degrees", "_transition")
+                 "_transition")
 
     def __init__(self, corpus: Folksonomy, adjacency: sparse.csr_matrix):
         self.corpus = corpus
@@ -81,7 +81,6 @@ class FolkGraph:
         degrees = np.asarray(adjacency.sum(axis=0)).ravel()
         if (degrees <= 0).any():
             raise ValueError("every node must have positive weighted degree")
-        self.degrees = degrees
         # Column-stochastic transition matrix, built once.  scipy's product
         # leaves every row in descending column order, and the walks sum
         # each row in that order: sorting the indices would move the last
@@ -100,20 +99,6 @@ class FolkGraph:
     def resource_offset(self) -> int:
         return len(self.users) + len(self.tags)
 
-    def node_kind(self, node: int) -> str:
-        if node < self.tag_offset:
-            return KIND_USER
-        if node < self.resource_offset:
-            return KIND_TAG
-        return KIND_RESOURCE
-
-    def node_name(self, node: int) -> str:
-        if node < self.tag_offset:
-            return self.users[node]
-        if node < self.resource_offset:
-            return self.tags[node - self.tag_offset]
-        return self.resources[node - self.resource_offset]
-
     def tag_node(self, tag: str) -> int:
         return self.tag_offset + self.corpus.tag_id(tag)
 
@@ -122,16 +107,17 @@ class FolkGraph:
         return np.full(n, 1.0 / n)
 
     def tag_preference(self, tag: str, beta: float) -> np.ndarray:
-        """Mass ``beta`` on the tag node, the rest uniform over other nodes.
+        """Mass ``beta`` on the tag node, the rest uniform over other nodes
+        (so beta = 1/|V| degenerates to the uniform preference)."""
+        return self.tag_preferences([tag], beta)[:, 0]
 
-        beta = 1/|V| therefore degenerates to the uniform preference.
-        """
+    def tag_preferences(self, tags: Sequence[str], beta: float) -> np.ndarray:
+        """The n×len(tags) block of each tag's `tag_preference`."""
         if not 0.0 < beta < 1.0:
             raise PreferenceError(f"beta must be in (0, 1), got {beta}")
-        node = self.tag_node(tag)
         n = self.num_nodes
-        p = np.full(n, (1.0 - beta) / (n - 1))
-        p[node] = beta
+        p = np.full((n, len(tags)), (1.0 - beta) / (n - 1))
+        p[[self.tag_node(tag) for tag in tags], np.arange(len(tags))] = beta
         return p
 
 
@@ -164,7 +150,9 @@ def _walk(g: FolkGraph, prefs: np.ndarray, damping: float, tol: float,
     Each column stops at its own L1 residual of ``tol`` or at ``max_iter``, is
     frozen and leaves the block, so later products carry only the walks
     still running.  Only the first product reads ``prefs``; frozen columns
-    overwrite it, and the returned weights are its columns.
+    overwrite it, and the returned weights are its columns.  Iterations
+    whose tag-row bound (module docstring) stops no column skip the exact
+    residual.
     """
     if not 0.0 <= damping <= 1.0:
         raise ValueError(f"damping must be in [0, 1], got {damping}")
@@ -180,12 +168,18 @@ def _walk(g: FolkGraph, prefs: np.ndarray, damping: float, tol: float,
     w = prefs
     scratch = np.empty((b, n))
     transition = g._transition
+    tags = slice(g.tag_offset, g.resource_offset)
+    slack = 1.0 - 3 * n * 2.0**-53
     it = 0
     while active.size:
         it += 1
         w_next = transition @ w
         w_next *= damping
         w_next += teleport
+        if it < max_iter and min(np.abs(w_next[tags] - w[tags]).sum(
+                axis=0).tolist()) * slack > tol:
+            w = w_next
+            continue
         # Row c of ``delta`` holds column c contiguously, so its sum pairs
         # the terms as a one-dimensional sum over that column does.
         delta = scratch[:active.size]
@@ -243,18 +237,7 @@ def rank_tags(
     """``rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)`` for
     every tag, bit for bit, computed as one walk over an n×len(tags) block.
     """
-    prefs = np.empty((g.num_nodes, len(tags)))
-    for c, tag in enumerate(tags):
-        prefs[:, c] = g.tag_preference(tag, beta)
-    return _walk(g, prefs, damping, tol, max_iter)
-
-
-def _related(g: FolkGraph, weights: np.ndarray, base: RankVector, node: int,
-             k: int | None = None) -> tuple[RelatedTag, ...]:
-    """Tags other than ``node`` by differential weight, then tag string."""
-    tags = slice(g.tag_offset, g.resource_offset)
-    others = np.delete(np.arange(len(g.tags)), node - g.tag_offset)
-    return _ranked(g, others, (weights[tags] - base.weights[tags])[others], k)
+    return _walk(g, g.tag_preferences(tags, beta), damping, tol, max_iter)
 
 
 def folkrank_relatedness(
@@ -272,9 +255,11 @@ def folkrank_relatedness(
     returned list covers every tag node except the query tag; differential
     scores may be negative.
     """
-    node = g.tag_node(tag)
+    tid = g.corpus.tag_id(tag)
     if base is None:
         base = rank(g, damping, None, tol, max_iter)
     preferred = rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)
-    return RelatedList(source=g.node_name(node),
-                       items=_related(g, preferred.weights, base, node))
+    tags = slice(g.tag_offset, g.resource_offset)
+    others = np.delete(np.arange(len(g.tags)), tid)
+    diff = (preferred.weights[tags] - base.weights[tags])[others]
+    return RelatedList(source=g.tags[tid], items=_ranked(g, others, diff))

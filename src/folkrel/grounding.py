@@ -1,46 +1,46 @@
 """Grounding folksonomy relatedness measures against reference taxonomies.
 
-For every tag the evaluator asks each relatedness measure for its top
-related tags, then judges the (tag, most related tag) pairs with taxonomy
-distances: shortest-path length (with its up/down edge composition) and
-Jiang-Conrath distance.  Around that sit corpus-level summaries: lemma
-coverage per part of speech, path-length and edge-composition
-distributions, pairwise top-k overlap between measures, and the average
-global rank of related tags as a function of the query tag's rank.
+For every tag the evaluator takes each measure's top related tags (one
+n×k id array per measure, `TopLists`), then judges the (tag, most related
+tag) pairs by shortest-path length, with its up/down edge composition,
+and Jiang-Conrath distance.  Around that sit lemma coverage per part of
+speech, path-length and edge-composition counts, pairwise top-k overlap
+between measures, and the mean global rank of related tags by the query
+tag's rank.
 
-Each taxonomy matches every tag once (`Taxonomy.match_lemmas`), for the
-coverage entry and the distances.  Distances are computed in the noun and
-verb taxonomies only; a tag covered by both is scored with the minimum
-distance (nouns win ties).  Tags or related tags without a
-metric-eligible lemma are skipped and tallied, never silently dropped.
+Each taxonomy matches every tag once (`Taxonomy.match_lemmas`).  Distances
+are computed in the noun and verb taxonomies only; a tag covered by both
+is scored with the minimum distance (nouns win ties).  Tags or related
+tags without a metric-eligible lemma are skipped and tallied.
 
-Each summary is built once, as its entry of the report.json document:
-`coverage` and `MeasurePairs.summary` are public, the overlap rows, rank
-curves and FolkRank walk stats private to the evaluator, and
-`GroundingEvaluator.report` only assembles these entries into one plain
-dict.  `semantic_pairs` is the per-pair view behind the measure entries.
-`write_report_files` writes the document and renders each of the six
-report TSVs as a table of its values.
+Each summary is built once, as its entry of the report.json document that
+`GroundingEvaluator.report` assembles; `semantic_pairs` is the per-pair
+view behind the measure entries.  `write_report_files` writes the document
+and renders each of the six report TSVs as a table of its values.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import Folksonomy, _by_frequency
-# cosine_relatedness and folkrank_relatedness are not called here; they
-# stay importable from this module because bench/spans.py wraps them here.
-from .distributional import (CoGraph, RelatedTag, build_cooccurrence,
+# freq_relatedness, cosine_relatedness and folkrank_relatedness are not
+# called here; they stay importable from this module, as does rank,
+# because bench/spans.py wraps them here.
+from .distributional import (CoGraph, RelatedTag, _select, build_cooccurrence,
                              cosine_relatedness, cosine_top_lists,
-                             freq_relatedness)
+                             freq_relatedness, freq_top_lists)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
-                       DEFAULT_TOL, FolkGraph, RankVector, _related,
-                       build_folkgraph, folkrank_relatedness, rank, rank_tags)
+                       DEFAULT_TOL, FolkGraph, build_folkgraph,
+                       folkrank_relatedness, rank, rank_tags)
 from .tsvio import atomic_write_json, atomic_write_text, fmt6
 from .wordnet import (ICTable, Taxonomy, ic_from_counts, jiang_conrath,
                       shortest_path)
@@ -79,10 +79,6 @@ class RankParams:
     beta: float = DEFAULT_BETA
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-
-
-def _outcome(v: RankVector) -> tuple[bool, int, float]:
-    return v.converged, v.iterations, v.residual
 
 
 def _walk_stats(walks: Sequence[tuple[bool, int, float]]) -> dict:
@@ -184,6 +180,28 @@ class MeasurePairs:
         }
 
 
+class TopLists(Mapping):
+    """A read-only view of one measure's top lists, by tag in string order,
+    with `RelatedTag`s made on lookup.  ``ids`` (n×k int32, -1 past a tag's
+    candidates) and ``scores`` (n×k float64) are indexed by tag id; with
+    the tag names and ids they are all it holds, so no graph stays alive."""
+
+    def __init__(self, names, rows, ids, scores):
+        ids.flags.writeable = scores.flags.writeable = False
+        self.ids, self.scores, self._names, self._rows = ids, scores, names, rows
+
+    def __getitem__(self, tag: str) -> tuple[RelatedTag, ...]:
+        tid = self._rows[tag]
+        return tuple(RelatedTag(self._names[i], s) for i, s in zip(
+            self.ids[tid].tolist(), self.scores[tid].tolist()) if i >= 0)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 def rank_bucket_spans(max_rank: int, buckets: int = RANK_BUCKETS) -> list[tuple[int, int]]:
     """Partition ranks 1..max_rank into at most ``buckets`` log-scaled
     integer ranges."""
@@ -227,73 +245,71 @@ class GroundingEvaluator:
         self.params = rank_params or RankParams()
         self.threads = threads
         self.cograph: CoGraph = build_cooccurrence(folksonomy)
-        self._folkgraph: FolkGraph | None = None
         self._ic: dict[str, ICTable] = dict(ic_tables or {})
-        order = _by_frequency(folksonomy)[1].tolist()  # tag ids by rank
-        self._ranks = dict(zip(map(folksonomy.tags.__getitem__, order),
-                               range(1, len(order) + 1)))
+        # Global rank by tag id: the inverse of the ids in rank order.
+        self._ranks = np.argsort(_by_frequency(folksonomy)[1]) + 1
         self._tags = tuple(sorted(folksonomy.tags))
-        self._top: dict[str, dict[str, tuple[RelatedTag, ...]]] = {}
+        self._sorted_ids = np.argsort(folksonomy.tag_rank)  # ids of ``_tags``
+        self._rows = dict(zip(self._tags, self._sorted_ids.tolist()))
+        self._top: dict[str, TopLists] = {}
         self._pairs: dict[str, MeasurePairs] = {}
 
-    @property
+    @cached_property
     def folkgraph(self) -> FolkGraph:
-        if self._folkgraph is None:
-            self._folkgraph = build_folkgraph(self.folksonomy)
-        return self._folkgraph
+        return build_folkgraph(self.folksonomy)
 
     def _ic_table(self, pos: str) -> ICTable:
-        table = self._ic.get(pos)
-        if table is None:
-            # No counts supplied: fall back to uniform corpus counts.
-            table = ic_from_counts(self.taxonomies[pos], smoothing=1.0)
-            self._ic[pos] = table
-        return table
+        if pos not in self._ic:  # no counts supplied: uniform corpus counts
+            self._ic[pos] = ic_from_counts(self.taxonomies[pos], smoothing=1.0)
+        return self._ic[pos]
 
-    def top_related(self, measure: str) -> dict[str, tuple[RelatedTag, ...]]:
-        """Top-k related tags for every tag, per measure, memoized."""
-        cached = self._top.get(measure)
-        if cached is not None:
-            return cached
-        k = self.k
-        if measure == "freq":
-            result = {t: freq_relatedness(self.cograph, t).top(k) for t in self._tags}
-        elif measure == "cosine":
-            result = dict(sorted(zip(self.folksonomy.tags,
-                                     cosine_top_lists(self.cograph, k))))
-        elif measure == "folkrank":
-            result = self._folkrank[0]
-        else:
-            raise ValueError(f"unknown measure {measure!r}")
-        self._top[measure] = result
-        return result
+    def top_related(self, measure: str) -> TopLists:
+        """Top-k related tags for every tag, per measure, memoized: the
+        `TopLists` view of the measure's id and score arrays."""
+        if measure not in self._top:
+            if measure not in MEASURES:
+                raise ValueError(f"unknown measure {measure!r}")
+            lists = freq_top_lists if measure == "freq" else cosine_top_lists
+            arrays = (self._folkrank[0] if measure == "folkrank"
+                      else lists(self.cograph, self.k))
+            self._top[measure] = TopLists(self.folksonomy.tags, self._rows,
+                                          *arrays)
+        return self._top[measure]
 
     @cached_property
-    def _folkrank(self) -> tuple[dict[str, tuple[RelatedTag, ...]], dict]:
-        """FolkRank top lists with the report's ``folkrank`` entry, the
-        convergence of the walks behind them."""
-        if not self._tags:
-            return {}, _walk_stats(())
+    def _folkrank(self) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+        """FolkRank top lists as `_select`'s arrays by tag id, and the
+        report's ``folkrank`` entry on the walks behind them."""
+        n, k = len(self._tags), self.k
+        ids, scores = np.empty((n, k), dtype=np.int32), np.empty((n, k))
+        if not n:
+            return (ids, scores), _walk_stats(())
         g = self.folkgraph
         p = self.params
         base = rank(g, p.damping, None, p.tol, p.max_iter)
+        tags = slice(g.tag_offset, g.resource_offset)
         size = max(1, min(QUERY_BLOCK, QUERY_BLOCK_BYTES // (8 * g.num_nodes)))
-        blocks = [self._tags[i:i + size] for i in range(0, len(self._tags), size)]
+        blocks = range(0, n, size)
 
-        def walk(block):
-            vectors = rank_tags(g, block, p.damping, p.beta, p.tol, p.max_iter)
-            tops = [_related(g, v.weights, base, g.tag_node(tag), self.k)
-                    for tag, v in zip(block, vectors)]
-            return tops, [_outcome(v) for v in vectors]
+        def walk(lo):
+            block = self._sorted_ids[lo:lo + size]
+            vectors = rank_tags(g, self._tags[lo:lo + size], p.damping,
+                                p.beta, p.tol, p.max_iter)
+            diff = np.array([v.weights[tags] - base.weights[tags] for v in vectors])
+            others = np.ones(diff.shape, dtype=bool)
+            others[np.arange(len(block)), block] = False
+            ids[block], scores[block] = _select(diff, others, k,
+                                                self.folksonomy.tag_rank)
+            return [(v.converged, v.iterations, v.residual) for v in vectors]
 
         if self.threads > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 done = list(pool.map(walk, blocks))
         else:  # a pool thread's own malloc arena would raise peak RSS
-            done = [walk(block) for block in blocks]
-        walks = _walk_stats(
-            [_outcome(base)] + [o for _, outcomes in done for o in outcomes])
-        return dict(zip(self._tags, (top for tops, _ in done for top in tops))), walks
+            done = [walk(lo) for lo in blocks]
+        return (ids, scores), _walk_stats(
+            [(base.converged, base.iterations, base.residual)]
+            + [outcome for block in done for outcome in block])
 
     @cached_property
     def _lemmas(self) -> dict[str, dict[str, str | None]]:
@@ -304,24 +320,22 @@ class GroundingEvaluator:
 
     def semantic_pairs(self, measure: str) -> MeasurePairs:
         """Score each tag's most related tag with both taxonomy distances."""
-        cached = self._pairs.get(measure)
-        if cached is not None:
-            return cached
-        top = self.top_related(measure)
+        if measure in self._pairs:
+            return self._pairs[measure]
+        firsts = self.top_related(measure).ids[self._sorted_ids, 0].tolist()
         pairs = MeasurePairs(measure=measure, total=len(self._tags))
         lemma = {pos: self._lemmas[pos] for pos in METRIC_POS
                  if pos in self._lemmas}
-        for tag in self._tags:
+        for tag, first in zip(self._tags, firsts):
             tag_pos = [pos for pos, found in lemma.items()
                        if found[tag] is not None]
             if not tag_pos:
                 pairs.skipped_original += 1
                 continue
-            related_list = top[tag]
-            if not related_list:
+            if first < 0:
                 pairs.no_related += 1
                 continue
-            related = related_list[0].tag
+            related = self.folksonomy.tags[first]
             related_pos = [pos for pos, found in lemma.items()
                            if found[related] is not None]
             if not related_pos:
@@ -345,32 +359,32 @@ class GroundingEvaluator:
     def _overlap(self, measure_a: str, measure_b: str) -> dict:
         """One ``overlaps`` row: the mean size of the intersection of the two
         top-k lists, over all tags."""
-        top_a = self.top_related(measure_a)
-        top_b = self.top_related(measure_b)
+        # A row lists an id once, so shared ids repeat in the sorted pair.
+        ids = np.sort(np.concatenate([self.top_related(measure_a).ids,
+                                      self.top_related(measure_b).ids], 1), 1)
         n = len(self._tags)
-        total = sum(len({item.tag for item in top_a[tag]}
-                        & {item.tag for item in top_b[tag]})
-                    for tag in self._tags)
+        total = int(((ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)).sum())
         return {"measure_a": measure_a, "measure_b": measure_b, "k": self.k,
                 "mean_overlap": total / n if n else None, "tags": n}
 
     def _rank_curve(self, measure: str) -> dict:
         """One ``rank_curves`` entry: the mean global rank of the top related
         tags, bucketed by the global rank of the query tag on a log scale."""
-        top = self.top_related(measure)
+        ids = self.top_related(measure).ids
+        counts_of = (ids >= 0).sum(1).tolist()
+        rank_sums = np.where(ids >= 0, self._ranks[ids], 0).sum(1).tolist()
         spans = rank_bucket_spans(len(self._tags))
         span_index = {r: idx for idx, (lo, hi) in enumerate(spans)
                       for r in range(lo, hi + 1)}
         sums = [0.0] * len(spans)
         counts = [0] * len(spans)
         skipped = 0  # tags without any related tag
-        for tag in self._tags:
-            items = top[tag]
-            if not items:
+        for tid in self._sorted_ids.tolist():
+            if not counts_of[tid]:
                 skipped += 1
                 continue
-            idx = span_index[self._ranks[tag]]
-            sums[idx] += sum(self._ranks[it.tag] for it in items) / len(items)
+            idx = span_index[int(self._ranks[tid])]
+            sums[idx] += rank_sums[tid] / counts_of[tid]
             counts[idx] += 1
         return {"skipped": skipped, "rows": [
             {"bucket": idx, "rank_lo": lo, "rank_hi": hi, "tags": counts[idx],

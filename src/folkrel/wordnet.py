@@ -3,13 +3,10 @@
 Each part of speech yields one `Taxonomy`, a rooted DAG of synsets under
 hypernym edges.  Synsets without hypernyms are attached to a synthetic
 root at offset 0 so the graph is always connected and cross-branch paths
-exist.  The graph is held once, as numpy arrays over dense synset ids:
-CSR parent and child adjacency and a CSR ancestor closure; the lemma
-index is one sorted column of byte keys, lemmas normalized as tags are,
-whose row i is the CSR row of dense ids of key i.  Tags are matched in one
-batched search of the keys and both distances run on dense ids, so synset
-offsets appear only in public arguments and returned values.  On top of
-the taxonomy sit two semantic distances between lemmas:
+exist.  The graph and the lemma index are held once, as numpy arrays over
+dense synset ids (see `Taxonomy`), so synset offsets appear only in public
+arguments and returned values.  On top of it sit two semantic distances
+between lemmas:
 
 - `shortest_path`: fewest taxonomy edges, traversable both up (toward
   hypernyms) and down, with the edge-direction composition of the path.
@@ -76,39 +73,6 @@ class Taxonomy:
         self._ids = ids  # offset of each dense id, ascending, ROOT first
         self._up, self._down = up, down  # parents, children
         self._closure = closure  # subsumers, the id itself and the root included
-
-    @classmethod
-    def build(
-        cls,
-        pos: str,
-        synsets: Mapping[int, Sequence[str]],
-        hypernyms: Mapping[int, Sequence[int]] | None = None,
-        lemma_index: Mapping[str, Sequence[int]] | None = None,
-    ) -> "Taxonomy":
-        """Construct and validate a taxonomy from plain mappings.
-
-        ``hypernyms`` maps a synset offset to its parent offsets; synsets
-        with no parents are attached to the synthetic root.  When
-        ``lemma_index`` is omitted it is derived from the synset lemmas.
-        Lemma keys are normalized as tags are, and keys that then collide
-        are merged.
-        """
-        hypernyms = hypernyms or {}
-        offsets = list(synsets)
-        child = [o for o in offsets for _ in hypernyms.get(o, ())]
-        parent = [p for o in offsets for p in hypernyms.get(o, ())]
-        data = DataColumns(
-            np.array(offsets, dtype=np.int64),
-            np.array([len(synsets[o]) for o in offsets], dtype=np.int64),
-            np.array(child, dtype=np.int64), np.array(parent, dtype=np.int64))
-        entries = [(str(lemma), list(offs)) for lemma, offs in (
-            lemma_index.items() if lemma_index is not None
-            else ((w, [o]) for o in offsets for w in synsets[o]))]
-        index = IndexColumns(
-            lemma_keys(lemma for lemma, _ in entries),
-            np.array([len(offs) for _, offs in entries], dtype=np.int64),
-            np.array([o for _, offs in entries for o in offs], dtype=np.int64))
-        return cls.from_columns(pos, data, index)
 
     @classmethod
     def from_columns(cls, pos: str, data: DataColumns,
@@ -185,10 +149,6 @@ class Taxonomy:
     def offsets(self) -> np.ndarray:
         """The synset offsets, ascending, `ROOT` excluded."""
         return self._ids[1:]
-
-    @property
-    def hypernym_edge_count(self) -> int:
-        return len(self._up[1])
 
     @property
     def lemmas(self) -> list[str]:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from folkrel.core import Folksonomy
 from folkrel.wndb import SynsetSpec
-from folkrel.wordnet import Taxonomy
+
+from conftest import build_taxonomy
 
 TAG_POOL = [f"tag{i}" for i in range(8)]
 # Non-ASCII, mixed-case and decomposed tags: ties between them must break
@@ -57,7 +58,7 @@ def taxonomies(draw, min_synsets=1, max_synsets=10):
             parents = draw(st.lists(st.sampled_from(offsets[:i]), min_size=0,
                                     max_size=2, unique=True))
             hypernyms[offset] = parents
-    return Taxonomy.build("noun", synsets, hypernyms)
+    return build_taxonomy("noun", synsets, hypernyms)
 
 
 @st.composite
@@ -70,7 +71,7 @@ def lemma_counts(draw, tax):
 
 @st.composite
 def taxonomy_inputs(draw, max_synsets=14):
-    """(synsets, hypernyms, lemma_index or None) for `Taxonomy.build`.
+    """(synsets, hypernyms, lemma_index or None) for `build_taxonomy`.
 
     Offsets are scattered and inserted out of order, so a parent's offset
     may exceed its child's; synsets may have no parent (orphan roots),

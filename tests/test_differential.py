@@ -13,15 +13,19 @@ path, composition and end synsets.
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 import re
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel import distributional, wordnet
+from folkrel import distributional, grounding, wordnet
 from folkrel.core import (Folksonomy, UnknownTagError, normalize_tag,
                           restrict_to_top_tags, tag_stats)
 from folkrel.distributional import (CoGraph, build_cooccurrence,
@@ -29,7 +33,8 @@ from folkrel.distributional import (CoGraph, build_cooccurrence,
                                     freq_relatedness)
 from folkrel.folkrank import (PreferenceError, build_folkgraph,
                               folkrank_relatedness, rank, rank_tags)
-from folkrel.grounding import QUERY_BLOCK, GroundingEvaluator, RankParams
+from folkrel.grounding import (MEASURES, QUERY_BLOCK, GroundingEvaluator,
+                               RankParams)
 from folkrel.wndb import (SynsetSpec, WndbFormatError, key_text, parse_data,
                           parse_index, render_database)
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
@@ -37,6 +42,8 @@ from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
                              ic_from_counts, jiang_conrath, shortest_path)
 
 import oracles
+from conftest import (build_taxonomy, hypernym_edge_count, node_kind,
+                      node_name, weight)
 from strategies import (LEMMA_POOL, RESOURCE_POOL, TAG_POOL, UNICODE_TAG_POOL,
                         USER_POOL, duplicate, posts_lists, synset_specs,
                         taxonomy_inputs)
@@ -90,7 +97,7 @@ def test_cograph_matches_dict_oracle(posts, k):
         # k ranges past the candidate count, which must return them all.
         assert pairs(cosine_relatedness(g, a, k).items) == ref.cosine(a, k)
         for b in f.tags:
-            assert g.weight(a, b) == ref.weight(a, b)
+            assert weight(g, a, b) == ref.weight(a, b)
             assert cosine_similarity(g, a, b) == ref.cosine_similarity(a, b)
 
 
@@ -306,6 +313,165 @@ def test_evaluator_folkrank_lists_across_block_boundaries(num_tags, threads):
     assert_lists_match_relatedness(f, 10, threads)
 
 
+# -- the block selection and the all-tags top lists -------------------------
+
+# Few distinct values, so that rows tie at the k-th score; signed zeros
+# compare equal and keep their signs.
+TIE_SCORES = [0.0, -0.0, 1.0, -1.0, 0.25, -2.5, 1e-300, 3.0]
+
+
+@st.composite
+def score_blocks(draw):
+    """(B×n scores, candidate mask, k, tag_rank) with many ties, negative
+    scores, k past the candidate count and rows without candidates."""
+    n = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from(TIE_SCORES)
+                           | st.floats(-4.0, 4.0, allow_nan=False),
+                           min_size=1, max_size=4))
+    scores = np.array(draw(st.lists(st.lists(st.sampled_from(values),
+                                             min_size=n, max_size=n),
+                                    min_size=b, max_size=b)))
+    candidates = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n,
+                                                 max_size=n),
+                                        min_size=b, max_size=b)))
+    if draw(st.booleans()):
+        candidates[draw(st.integers(0, b - 1))] = False
+    tag_rank = np.array(draw(st.permutations(range(n))))
+    return scores, candidates, draw(st.integers(1, n + 3)), tag_rank
+
+
+def signed(items):
+    return [(tag, score, math.copysign(1.0, score)) for tag, score in items]
+
+
+@CASES
+@given(score_blocks())
+@example((np.zeros((2, 4)), np.ones((2, 4), dtype=bool), 2, np.arange(4)))
+@example((np.array([[-0.0, 0.0, -0.0, 0.0]]), np.ones((1, 4), dtype=bool), 3,
+          np.array([3, 1, 0, 2])))
+def test_block_selection_matches_ranked(block):
+    scores, candidates, k, tag_rank = block
+    names = tuple(f"t{r:02d}" for r in tag_rank.tolist())
+    g = SimpleNamespace(corpus=SimpleNamespace(tags=names, tag_rank=tag_rank))
+    ids, top = distributional._select(scores.copy(), candidates, k, tag_rank)
+    assert ids.dtype == np.int32 and ids.shape == top.shape == (len(scores), k)
+    for r, row in enumerate(scores):
+        cands = np.flatnonzero(candidates[r])
+        want = pairs(distributional._ranked(g, cands, row[cands], k))
+        listed = len(want)
+        got = [(names[i], s) for i, s in zip(ids[r, :listed].tolist(),
+                                             top[r, :listed].tolist())]
+        assert signed(got) == signed(want)
+        assert (ids[r, listed:] == -1).all() and np.isnan(top[r, listed:]).all()
+
+
+def assert_top_lists_match(f, measure, k, rows=None, threads=1):
+    """Every tag's row of the evaluator's ``measure`` arrays equals the
+    measure's per-tag function with ==, with blocks of ``rows`` rows (the
+    default bounds when None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(distributional, "DOT_BLOCK_BYTES",
+                       8 * rows * max(f.num_tags, 1))
+            mp.setattr(grounding, "QUERY_BLOCK", rows)
+        evaluator = GroundingEvaluator(f, {}, k=k, threads=threads)
+        got = evaluator.top_related(measure)
+    per_tag = {
+        "freq": lambda t: freq_relatedness(evaluator.cograph, t).top(k),
+        "cosine": lambda t: cosine_relatedness(evaluator.cograph, t, k).items,
+        "folkrank": lambda t: folkrank_relatedness(
+            evaluator.folkgraph, t, base=base).top(k),
+    }[measure]
+    base = rank(evaluator.folkgraph) if f.num_tags else None
+    assert list(got) == sorted(f.tags) and len(got) == f.num_tags
+    assert got.ids.shape == got.scores.shape == (f.num_tags, k)
+    for tag in f.tags:
+        want = per_tag(tag)
+        assert got[tag] == want
+        row = got.ids[f.tag_id(tag)]
+        assert row.tolist() == [f.tag_id(t.tag) for t in want] + [-1] * (k - len(want))
+
+
+@CASES
+@given(corpora(), st.sampled_from(MEASURES), st.integers(1, 12),
+       st.sampled_from([1, 3, 50, None]))
+@example(ISOLATED, "freq", 12, 1)  # an empty profile, k past the candidates
+@example(ISOLATED, "folkrank", 12, 3)
+@example(MIRROR, "freq", 1, 1)
+@example([], "freq", 3, 1)
+def test_evaluator_top_lists_match_per_tag_functions(posts, measure, k, rows):
+    assert_top_lists_match(Folksonomy.from_posts(posts), measure, k, rows)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+def test_evaluator_top_lists_on_hub_heavy_corpus(measure, rows):
+    f = Folksonomy.from_posts(zipf_posts(11, 600, 120))
+    assert_top_lists_match(f, measure, 10, rows, threads=2)
+
+
+def test_top_lists_view_is_a_read_only_mapping():
+    f = Folksonomy.from_posts(ISOLATED)
+    top = GroundingEvaluator(f, {}, k=2).top_related("freq")
+    assert list(top) == sorted(f.tags) and len(top) == 4
+    assert top["solo"] == () and "zzz" not in top
+    with pytest.raises(KeyError):
+        top["zzz"]
+    with pytest.raises(ValueError):
+        top.ids[0, 0] = 1
+    assert dict(top.items()) == top
+
+
+def test_top_lists_keep_no_graph_alive():
+    f = Folksonomy.from_posts(zipf_posts(3, 200, 40))
+    evaluator = GroundingEvaluator(f, {}, k=5)
+    views = {m: evaluator.top_related(m) for m in MEASURES}
+    lists = {m: dict(view.items()) for m, view in views.items()}
+    graphs = [weakref.ref(evaluator.cograph.matrix),
+              weakref.ref(evaluator.folkgraph._transition),
+              weakref.ref(evaluator.folkgraph.adjacency),
+              weakref.ref(f.incidence)]
+    del evaluator, f
+    gc.collect()
+    assert [ref() for ref in graphs] == [None] * len(graphs)
+    assert {m: dict(view.items()) for m, view in views.items()} == lists
+
+
+@CASES
+@given(corpora(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(2, 14),
+       st.sampled_from([1, 2, 3, 200]), st.integers(1, 5))
+@example(MIRROR, 0.5, 14, 200, 2)
+@example(MIRROR, 1.0, 2, 3, 1)
+def test_walk_residual_skip_matches_power_loop(posts, damping, exponent,
+                                               max_iter, block):
+    """Skipping the exact residual where the tag-row bound stops no column
+    leaves every column's weights, iterations, flag and residual as the
+    plain loop's."""
+    g = build_folkgraph(Folksonomy.from_posts(posts))
+    tol = 10.0 ** -exponent
+    assert_walk_matches_oracle(g, rank(g, damping, None, tol, max_iter),
+                               g.uniform_preference(), damping, tol, max_iter)
+    tags = sorted(g.tags)
+    for i in range(0, len(tags), block):
+        part = tags[i:i + block]
+        assert_walks_match_oracle(
+            g, part, rank_tags(g, part, damping, 0.5, tol, max_iter),
+            damping, 0.5, tol, max_iter)
+
+
+def test_tag_preference_block_matches_one_tag_at_a_time():
+    g = build_folkgraph(Folksonomy.from_posts(seeded_posts(5, 30, 12)))
+    tags = sorted(g.tags)
+    for beta in (0.05, 0.5, 1.0 / g.num_nodes):
+        block = g.tag_preferences(tags, beta)
+        for c, tag in enumerate(tags):
+            p = np.full(g.num_nodes, (1.0 - beta) / (g.num_nodes - 1))
+            p[g.tag_node(tag)] = beta
+            assert np.array_equal(block[:, c], p)
+            assert np.array_equal(g.tag_preference(tag, beta), p)
+
+
 def raised(fn, *args):
     try:
         fn(*args)
@@ -349,7 +515,7 @@ def test_folded_graph_matches_dense_fold(posts):
     g = build_folkgraph(f)
     labels, expected = oracles.dense_fold(f)
     index = {label: i for i, label in enumerate(labels)}
-    perm = [index[(g.node_kind(v), g.node_name(v))] for v in range(g.num_nodes)]
+    perm = [index[(node_kind(g, v), node_name(g, v))] for v in range(g.num_nodes)]
     # Canonical CSR fixes the summation order of every walk step.
     assert g.adjacency.has_canonical_format
     assert np.array_equal(g.adjacency.toarray(), expected[np.ix_(perm, perm)])
@@ -518,10 +684,10 @@ counts = st.one_of(st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
 @given(taxonomy_inputs(), st.data())
 def test_taxonomy_and_ic_match_dict_oracle(inputs, data):
     synsets, hypernyms, lemma_index = inputs
-    tax = Taxonomy.build("noun", synsets, hypernyms, lemma_index)
+    tax = build_taxonomy("noun", synsets, hypernyms, lemma_index)
     ref = oracles.DictTaxonomy(synsets, hypernyms, lemma_index)
     assert_same_taxonomy(tax, ref)
-    assert tax.hypernym_edge_count == sum(len(ref.parents(o)) for o in ref.synsets)
+    assert hypernym_edge_count(tax) == sum(len(ref.parents(o)) for o in ref.synsets)
 
     lemma_counts = data.draw(st.dictionaries(
         st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
@@ -547,10 +713,10 @@ def test_ic_counts_match_oracle_on_a_wide_dag():
     hypernyms = {int(o): [int(p) for p in rng.choice(offsets[:i], size=min(i, 1 + (i % 3 == 0)))]
                  for i, o in enumerate(offsets) if i}
     lemma_counts = {f"l{i}": float(v) for i, v in enumerate(rng.exponential(50, 1700))}
-    tax = Taxonomy.build("noun", synsets, hypernyms)
+    tax = build_taxonomy("noun", synsets, hypernyms)
     ref = oracles.DictTaxonomy(synsets, hypernyms)
     assert_same_taxonomy(tax, ref)
-    assert tax.hypernym_edge_count == sum(len(ref.parents(o)) for o in ref.synsets)
+    assert hypernym_edge_count(tax) == sum(len(ref.parents(o)) for o in ref.synsets)
     cumulative, total, _ = oracles.ic_counts(ref, lemma_counts, smoothing=0.1)
     ic = ic_from_counts(tax, lemma_counts, smoothing=0.1)
     assert_same_counts(ic, cumulative)
@@ -580,7 +746,7 @@ def assert_whole_size_forms(tax, lemma_counts, synset_counts, smoothing):
 def test_jiang_conrath_matches_the_set_based_oracle(inputs, data):
     # Lemmas share synsets and have several senses; without smoothing,
     # uncounted synsets have infinite ic.
-    tax = Taxonomy.build("noun", *inputs)
+    tax = build_taxonomy("noun", *inputs)
     lemma_counts = data.draw(st.dictionaries(
         st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
     synset_counts = data.draw(st.dictionaries(st.sampled_from(list(inputs[0])),
@@ -601,7 +767,7 @@ def test_jiang_conrath_matches_the_set_based_oracle(inputs, data):
 @given(taxonomy_inputs(), st.data())
 def test_closure_and_ic_match_their_whole_size_forms(inputs, data):
     # Chunks of 1 and 3 entries put one row, or a few, in each pass.
-    tax = Taxonomy.build("noun", *inputs)
+    tax = build_taxonomy("noun", *inputs)
     lemma_counts = data.draw(st.dictionaries(
         st.sampled_from(LEMMA_POOL + ["Lem0", "ghost"]), counts))
     synset_counts = data.draw(st.dictionaries(
@@ -660,7 +826,7 @@ def key_inputs(draw):
 @CASES
 @given(key_inputs())
 def test_key_column_matches_dict_oracle(inputs):
-    assert_same_keys(Taxonomy.build("noun", *inputs),
+    assert_same_keys(build_taxonomy("noun", *inputs),
                      oracles.DictTaxonomy(*inputs))
 
 
@@ -670,7 +836,7 @@ def test_key_column_matches_dict_oracle(inputs):
 def test_batched_match_matches_the_per_tag_matcher(inputs, tags):
     # Hyphenated, unknown, NFD and mixed-case tags, tags longer than every
     # key, repeats and the empty list, in one search per list.
-    tax = Taxonomy.build("noun", *inputs)
+    tax = build_taxonomy("noun", *inputs)
     ref = oracles.DictTaxonomy(*inputs)
     want = [oracle_match(ref, tag) for tag in tags]
     assert tax.match_lemmas(tags) == want
@@ -703,7 +869,7 @@ def test_parsed_key_column_matches_dict_oracle(lemma_lists):
 def test_index_faults_name_the_first_lemma_in_file_order(lemma_index, message):
     want = outcome(oracles.DictTaxonomy, {100: ["w"]}, {}, lemma_index)
     assert want == (TaxonomyStructureError, message)
-    assert outcome(Taxonomy.build, "noun", {100: ["w"]}, {}, lemma_index) == want
+    assert outcome(build_taxonomy, "noun", {100: ["w"]}, {}, lemma_index) == want
 
 
 @pytest.mark.parametrize("index,message", [
@@ -775,7 +941,7 @@ def on_cycle(hypernyms, offset):
 @example(({100: ["a"]}, {}, {"a": [100, 900, 800]}))
 @example(({100: ["a"]}, {}, {"b": [100, 700], "a": [100], "B": [600]}))
 def test_faults_raise_the_oracles_message(inputs):
-    got = outcome(Taxonomy.build, "noun", *inputs)
+    got = outcome(build_taxonomy, "noun", *inputs)
     want = outcome(oracles.DictTaxonomy, *inputs)
     if want[0] == "ok":
         assert got[0] == "ok"
@@ -803,7 +969,7 @@ def test_back_edge_is_reported_as_cycle(inputs, data):
         sorted(p for p in hypernyms[child] if p != 0)))
     hypernyms.setdefault(ancestor, []).append(child)
     with pytest.raises(TaxonomyStructureError, match="cycle") as err:
-        Taxonomy.build("noun", synsets, hypernyms, lemma_index)
+        build_taxonomy("noun", synsets, hypernyms, lemma_index)
     named = int(re.search(r"synset (\d{8})", str(err.value)).group(1))
     assert on_cycle(hypernyms, named)
     with pytest.raises(TaxonomyStructureError, match="cycle"):
@@ -1057,7 +1223,7 @@ def assert_same_paths(tax, pairs):
 @CASES
 @given(taxonomy_inputs())
 def test_shortest_path_matches_layered_search(inputs):
-    tax = Taxonomy.build("noun", *inputs)
+    tax = build_taxonomy("noun", *inputs)
     lemmas = sorted(tax.lemmas)
     assert_same_paths(tax, [(a, b) for i, a in enumerate(lemmas)
                             for b in lemmas[i:]])
@@ -1084,7 +1250,7 @@ def test_shortest_path_matches_layered_search_on_a_large_dag():
         if rng.random() < 0.02:
             parents.append(offsets[int(rng.integers(0, i))])
         hypernyms[offsets[i]] = parents
-    tax = Taxonomy.build("noun", synsets, hypernyms)
+    tax = build_taxonomy("noun", synsets, hypernyms)
     lemmas = sorted(tax.lemmas)
     for i, j in rng.choice(len(lemmas), size=(200, 2)).tolist():
         a, b = lemmas[i], lemmas[j]
@@ -1105,7 +1271,7 @@ def with_leaves(named, hypernyms, leaves):
         for offset in offsets:
             synsets[offset] = [f"leaf{offset}"]
             hypernyms[offset] = [parent]
-    return Taxonomy.build("noun", synsets, hypernyms)
+    return build_taxonomy("noun", synsets, hypernyms)
 
 
 # Ties decided after the point where the two searches meet.  "a" is synset

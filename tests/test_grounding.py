@@ -13,6 +13,8 @@ from folkrel.grounding import (MEASURES, REPORT_FILES, GroundingEvaluator,
 from folkrel.tsvio import fmt6
 from folkrel.wordnet import Taxonomy, ic_from_counts, jiang_conrath
 
+from conftest import build_taxonomy
+
 # The freq top-1 pairs here are dog->cat (path 2) and car->dog (path 4);
 # cat's best partner is the out-of-vocabulary xyzzy and xyzzy itself has
 # no lemma, so exactly two pairs get scored.
@@ -54,7 +56,7 @@ def test_coverage_empty_tag_list_is_flagged(t1):
 
 
 def test_coverage_counts_each_pos(t1):
-    verb = Taxonomy.build("verb", {100: ["bark"], 200: ["dog"]}, {})
+    verb = build_taxonomy("verb", {100: ["bark"], 200: ["dog"]}, {})
     cov = coverage(["dog", "bark", "xyzzy"], {"verb": verb, "noun": t1})
     assert cov["covered"] == 2  # dog (both), bark (verb only)
     assert {pos: row["covered"] for pos, row in cov["per_pos"].items()} == {
@@ -74,8 +76,8 @@ def test_report_matches_each_taxonomy_once(toy, t1, monkeypatch):
         return match_lemmas(tax, tags)
 
     monkeypatch.setattr(Taxonomy, "match_lemmas", counted)
-    verb = Taxonomy.build("verb", {100: ["bark"], 200: ["dog"]}, {})
-    adj = Taxonomy.build("adj", {100: ["cat"]}, {})
+    verb = build_taxonomy("verb", {100: ["bark"], 200: ["dog"]}, {})
+    adj = build_taxonomy("adj", {100: ["cat"]}, {})
     evaluator = GroundingEvaluator(toy, {"noun": t1, "verb": verb, "adj": adj})
     report = evaluator.report()
     assert sorted(calls) == [("adj", 4), ("noun", 4), ("verb", 4)]
@@ -131,7 +133,7 @@ def test_covered_tag_without_cooccurrences_counts_as_no_related(t1):
 
 
 def test_disjoint_parts_of_speech_are_tallied(t1):
-    verb = Taxonomy.build("verb", {100: ["bark"]}, {})
+    verb = build_taxonomy("verb", {100: ["bark"]}, {})
     f = parse_posts(io.BytesIO(b"u1\tr1\tdog,bark\n"))
     pairs = GroundingEvaluator(f, {"noun": t1, "verb": verb}).semantic_pairs("freq")
     assert pairs.total == 2
@@ -142,10 +144,10 @@ def test_disjoint_parts_of_speech_are_tallied(t1):
 def test_common_pos_takes_minimum_distance_noun_first():
     # walk and run are 2 apart in both trees, but only the noun tree
     # routes through a shared parent; verb-only pairs lean on the verb tree.
-    noun = Taxonomy.build(
+    noun = build_taxonomy(
         "noun", {100: ["act"], 200: ["walk"], 300: ["run"]},
         {200: [100], 300: [100]})
-    verb = Taxonomy.build(
+    verb = build_taxonomy(
         "verb", {100: ["walk"], 200: ["run"], 300: ["jog"]},
         {300: [100, 200]})
     f = parse_posts(io.BytesIO(b"u1\tr1\twalk,run\n"))

@@ -15,8 +15,9 @@ from folkrel.distributional import (build_cooccurrence, cosine_relatedness,
 from folkrel.folkrank import build_folkgraph, rank
 from folkrel.grounding import (EDGE_PATTERNS, MEASURES, GroundingEvaluator,
                                coverage)
-from folkrel.wordnet import ROOT, Taxonomy, ic_from_counts, shortest_path
+from folkrel.wordnet import ROOT, ic_from_counts, shortest_path
 
+from conftest import build_taxonomy
 from strategies import (TAG_POOL, duplicate, folksonomies, lemma_counts,
                         posts_lists, taxonomies)
 
@@ -24,7 +25,7 @@ CASES = settings(max_examples=200, deadline=None)
 
 # Every generated tag is a lemma here, so grounding reports on random
 # folksonomies have real coverage instead of skipping everything.
-TAG_TAXONOMY = Taxonomy.build(
+TAG_TAXONOMY = build_taxonomy(
     "noun",
     {100 * (i + 1): [TAG_POOL[i]] for i in range(8)},
     {200: [100], 300: [100], 400: [200], 500: [200], 600: [300],

@@ -20,7 +20,8 @@ from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
                              load_ic, load_taxonomy, load_wordnet_dir,
                              shortest_path)
 
-from conftest import FIXTURE_DIR, T1_SPECS, synset_by_lemma
+from conftest import (FIXTURE_DIR, T1_SPECS, build_taxonomy,
+                      hypernym_edge_count, synset_by_lemma)
 
 
 # -- flat-file format ----------------------------------------------------
@@ -213,7 +214,7 @@ def test_byte_blocks_parse_like_one_block(monkeypatch, block):
 
 def test_t1_shape(t1):
     assert t1.num_synsets == 6
-    assert t1.hypernym_edge_count == 6  # includes the root attachment
+    assert hypernym_edge_count(t1) == 6  # includes the root attachment
     entity = synset_by_lemma(t1, "entity")
     assert t1.parents(entity) == (ROOT,)
     assert set(t1.children(entity)) == {synset_by_lemma(t1, "animal"),
@@ -249,7 +250,7 @@ def test_unknown_lemma_raises(t1):
 
 
 def test_match_lemma_case_and_hyphen(t1):
-    tax = Taxonomy.build("noun", {100: ["ice_cream"]}, {})
+    tax = build_taxonomy("noun", {100: ["ice_cream"]}, {})
     assert tax.match_lemma("Ice-Cream") == "ice_cream"
     assert tax.match_lemma("ice_cream") == "ice_cream"
     assert tax.match_lemma("sorbet") is None
@@ -258,12 +259,12 @@ def test_match_lemma_case_and_hyphen(t1):
 
 def test_lemma_keys_are_normalized_as_tags_are(tmp_path):
     nfc, nfd = "caf\u00e9", "cafe\u0301"
-    tax = Taxonomy.build("noun", {100: (nfd,)})
+    tax = build_taxonomy("noun", {100: (nfd,)})
     assert tax.match_lemma(normalize_tag(nfd)) == nfc
     assert tax.match_lemma("CAFE\u0301") == nfc
     assert tax.synsets_of(nfc) == (100,)
     assert tax.lemmas == [nfc]
-    merged = Taxonomy.build("noun", {100: (nfc,), 200: ("CAFE\u0301",)})
+    merged = build_taxonomy("noun", {100: (nfc,), 200: ("CAFE\u0301",)})
     assert merged.lemmas == [nfc]
     assert merged.synsets_of(nfd) == (100, 200)
     write_database([SynsetSpec("a", (nfd,)), SynsetSpec("b", ("Caf\u00e9",))],
@@ -275,32 +276,32 @@ def test_lemma_keys_are_normalized_as_tags_are(tmp_path):
 
 def test_case_colliding_lemma_keys_merge():
     synsets = {1: ["a"], 2: ["b"]}
-    given = Taxonomy.build("noun", synsets, {}, {"Dog": [1], "dog": [2]})
+    given = build_taxonomy("noun", synsets, {}, {"Dog": [1], "dog": [2]})
     assert given.synsets_of("dog") == (1, 2)
-    derived = Taxonomy.build("noun", {1: ["Dog"], 2: ["dog"]}, {})
+    derived = build_taxonomy("noun", {1: ["Dog"], 2: ["dog"]}, {})
     assert derived.synsets_of("DOG") == (1, 2)
 
 
 def test_build_rejects_cycles():
     with pytest.raises(TaxonomyStructureError) as err:
-        Taxonomy.build("noun", {100: ["a"], 200: ["b"]},
+        build_taxonomy("noun", {100: ["a"], 200: ["b"]},
                        {100: [200], 200: [100]})
     assert "cycle" in str(err.value)
 
 
 def test_build_rejects_self_hypernym():
     with pytest.raises(TaxonomyStructureError):
-        Taxonomy.build("noun", {100: ["a"]}, {100: [100]})
+        build_taxonomy("noun", {100: ["a"]}, {100: [100]})
 
 
 def test_build_rejects_dangling_hypernym():
     with pytest.raises(TaxonomyStructureError):
-        Taxonomy.build("noun", {100: ["a"]}, {100: [999]})
+        build_taxonomy("noun", {100: ["a"]}, {100: [999]})
 
 
 def test_build_rejects_reserved_offset():
     with pytest.raises(TaxonomyStructureError):
-        Taxonomy.build("noun", {0: ["a"]}, {})
+        build_taxonomy("noun", {0: ["a"]}, {})
 
 
 def test_load_rejects_index_pointing_at_missing_synset(tmp_path):
@@ -421,7 +422,7 @@ def test_path_single_edge(t1):
 
 
 def test_path_shared_synset_is_zero():
-    tax = Taxonomy.build("noun", {100: ["car", "auto"]}, {})
+    tax = build_taxonomy("noun", {100: ["car", "auto"]}, {})
     path = shortest_path(tax, "car", "auto")
     assert path.length == 0
     assert path.composition == ()
@@ -445,7 +446,7 @@ def test_path_reversal_symmetry(t1):
 def test_path_prefers_up_edges_on_ties():
     # two length-2 routes between a and b: up-down through the shared
     # parent, down-up through the shared child; up-first must win
-    tax = Taxonomy.build(
+    tax = build_taxonomy(
         "noun",
         {100: ["top"], 200: ["a"], 300: ["b"], 400: ["shared"]},
         {200: [100], 300: [100], 400: [200, 300]},
@@ -457,7 +458,7 @@ def test_path_prefers_up_edges_on_ties():
 
 def test_path_picks_smallest_synsets_among_equal_compositions():
     # two up-down routes through parents 100 and 150
-    tax = Taxonomy.build(
+    tax = build_taxonomy(
         "noun",
         {100: ["p1"], 150: ["p2"], 200: ["a"], 300: ["b"]},
         {200: [100, 150], 300: [100, 150]},
@@ -469,7 +470,7 @@ def test_path_picks_smallest_synsets_among_equal_compositions():
 
 
 def test_path_crosses_root_between_hierarchies():
-    tax = Taxonomy.build("noun", {100: ["a"], 200: ["b"]}, {})
+    tax = build_taxonomy("noun", {100: ["a"], 200: ["b"]}, {})
     path = shortest_path(tax, "a", "b")
     assert path.length == 2
     assert path.composition == ("up", "down")
@@ -480,7 +481,7 @@ def test_path_orientation_follows_the_normalized_lemmas():
     # "é" the smallest path to "f" goes up-up through "p"; from "f" it goes
     # up-down through "q".  The search runs from the lemma whose normalized
     # form sorts first, "f", whichever spelling of "é" is queried.
-    tax = Taxonomy.build("noun", {10: ("q",), 20: ("f",), 30: ("p",), 40: ("é",)},
+    tax = build_taxonomy("noun", {10: ("q",), 20: ("f",), 30: ("p",), 40: ("é",)},
                          {20: [10], 30: [20], 40: [30, 10]})
     nfc, nfd = "\u00e9", "e\u0301"
     assert shortest_path(tax, nfc, "f").composition == ("up", "down")
@@ -546,7 +547,7 @@ def test_smoothing_gives_every_synset_mass(t1):
 
 
 def test_lemma_count_split_among_synsets():
-    tax = Taxonomy.build("noun", {100: ["bank"], 200: ["bank"]}, {})
+    tax = build_taxonomy("noun", {100: ["bank"], 200: ["bank"]}, {})
     ic = ic_from_counts(tax, lemma_counts={"bank": 4}, smoothing=0.0)
     assert ic.count(100) == 2.0
     assert ic.count(200) == 2.0
@@ -631,7 +632,7 @@ def test_jcn_fixture_values(t1, t1_ic):
 
 
 def test_jcn_zero_iff_shared_synset(t1, t1_ic):
-    tax = Taxonomy.build("noun", {100: ["car", "auto"], 200: ["bus"]},
+    tax = build_taxonomy("noun", {100: ["car", "auto"], 200: ["bus"]},
                          {200: [100]})
     ic = ic_from_counts(tax, lemma_counts={"car": 2, "bus": 1})
     assert jiang_conrath(tax, ic, "car", "auto") == 0.0
@@ -647,7 +648,7 @@ def test_jcn_symmetric(t1, t1_ic):
 def test_jcn_reads_only_an_ic_table_of_the_same_synsets(t1, t1_ic):
     # The table is indexed by dense ids, which another synset set would
     # assign differently.
-    other = Taxonomy.build("noun", {62: ["dog"], 100: ["cat"]})
+    other = build_taxonomy("noun", {62: ["dog"], 100: ["cat"]})
     with pytest.raises(ValueError):
         jiang_conrath(other, t1_ic, "dog", "cat")
     same = load_taxonomy(FIXTURE_DIR / "wndb" / "index.noun",
@@ -658,7 +659,7 @@ def test_jcn_reads_only_an_ic_table_of_the_same_synsets(t1, t1_ic):
 
 def test_ic_of_a_count_too_small_for_its_share_of_the_total():
     # 1e-313 / 1e16 underflows to 0.0, whose log is a domain error.
-    tax = Taxonomy.build("noun", {1: ["tiny"], 2: ["huge"]})
+    tax = build_taxonomy("noun", {1: ["tiny"], 2: ["huge"]})
     ic = ic_from_counts(tax, synset_counts={1: 1e-313, 2: 1e16}, smoothing=0.0)
     assert ic.ic(1) == pytest.approx(math.log(1e16) - math.log(1e-313))
     assert jiang_conrath(tax, ic, "tiny", "huge") == ic.ic(1) + ic.ic(2)
@@ -666,7 +667,7 @@ def test_ic_of_a_count_too_small_for_its_share_of_the_total():
 
 def test_jcn_minimizes_over_synset_pairs():
     # "crane" as bird sits right next to "heron"; the machine sense is far
-    tax = Taxonomy.build(
+    tax = build_taxonomy(
         "noun",
         {100: ["bird"], 150: ["machine"], 200: ["crane"], 300: ["crane"],
          400: ["heron"]},
