@@ -17,9 +17,9 @@ from .core import (PostsParseError, UnknownTagError, load_posts,
 from .distributional import (build_cooccurrence, cosine_relatedness,
                              freq_relatedness)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
-                       DEFAULT_TOL, build_folkgraph, folkrank_relatedness)
-from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, QUERY_BLOCK,
-                        RankParams, report_summary_lines, write_report_files)
+                       DEFAULT_TOL, QUERY_BLOCK, build_folkgraph, folkrank_relatedness)
+from .grounding import (GroundingEvaluator, MEASURES, METRIC_POS, RankParams,
+                        report_summary_lines, write_report_files)
 from .tsvio import atomic_write_text, fmt6
 from .wndb import WndbFormatError
 from .wordnet import (IcCountsError, TaxonomyStructureError,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -111,10 +110,16 @@ class Folksonomy:
         # them: restriction numbers tags by first appearance in the rows, and
         # FolkRank sums each transition row in descending node-id order, so
         # this order fixes its last bits.
-        indptr = np.cumsum([0, *map(len, map(set, rows.values()))], dtype=np.int64)
-        indices = np.fromiter(
-            chain.from_iterable(map(frozenset, map(set, rows.values()))),
-            np.int64, int(indptr[-1]))
+        lengths = [0]
+
+        def ids():  # each post's set once, streamed so none outlives its post
+            for row in rows.values():
+                post = frozenset(set(row))
+                lengths.append(len(post))
+                yield from post
+
+        indices = np.fromiter(ids(), np.int64)
+        indptr = np.cumsum(lengths, dtype=np.int64)
         post_users, post_resources = np.array(
             list(rows), dtype=np.int64).reshape(-1, 2).T.copy()
         return cls(tuple(user_ids), tuple(tag_ids), tuple(resource_ids),

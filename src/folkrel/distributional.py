@@ -28,6 +28,7 @@ The graph is immutable after build; all queries are pure.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,17 +166,25 @@ def _select(scores: np.ndarray, candidates: np.ndarray, k: int,
     return ids, top
 
 
-def _top_lists(g: CoGraph, k: int, scored, size: int = 0):
-    """`_select`'s arrays of all tags, by id, from ``scored(lo, hi)``'s (scores,
-    candidates) of tags lo..hi-1 in blocks of ``size`` (or DOT_BLOCK_BYTES)."""
+def _top_lists(g, k: int, scored, size: int = 0, threads: int = 1):
+    """`_select`'s arrays of all tags of ``g``, a CoGraph or a FolkGraph, by
+    id, from ``scored(lo, hi)``'s (scores, candidates) of tags lo..hi-1, in
+    blocks of ``size`` tags (or DOT_BLOCK_BYTES) on ``threads`` threads."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.corpus.num_tags
     size = size or max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
     ids, scores = np.empty((n, k), dtype=np.int32), np.empty((n, k))
-    for lo in range(0, n, size):
-        ids[lo:lo + size], scores[lo:lo + size] = _select(
-            *scored(lo, min(lo + size, n)), k, g.corpus.tag_rank)
+
+    def block(lo):
+        hi = min(lo + size, n)
+        ids[lo:hi], scores[lo:hi] = _select(*scored(lo, hi), k, g.corpus.tag_rank)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(block, range(0, n, size)))
+    else:  # a pool thread's own malloc arena would raise peak RSS
+        list(map(block, range(0, n, size)))
     return ids, scores
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -32,15 +31,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import Folksonomy, _by_frequency
-# freq_relatedness, cosine_relatedness and folkrank_relatedness are not
-# called here; they stay importable from this module, as does rank,
-# because bench/spans.py wraps them here.
-from .distributional import (CoGraph, RelatedTag, _select, build_cooccurrence,
+# freq_relatedness, cosine_relatedness, folkrank_relatedness and rank are
+# not called here; they stay importable because bench/spans.py wraps them.
+from .distributional import (CoGraph, RelatedTag, build_cooccurrence,
                              cosine_relatedness, cosine_top_lists,
                              freq_relatedness, freq_top_lists)
 from .folkrank import (DEFAULT_BETA, DEFAULT_DAMPING, DEFAULT_MAX_ITER,
                        DEFAULT_TOL, FolkGraph, build_folkgraph,
-                       folkrank_relatedness, rank, rank_tags)
+                       folkrank_relatedness, folkrank_top_lists, rank)
 from .tsvio import atomic_write_json, atomic_write_text, fmt6
 from .wordnet import (ICTable, Taxonomy, ic_from_counts, jiang_conrath,
                       shortest_path)
@@ -54,13 +52,6 @@ EDGE_PATTERNS = {
     2: ("up-up", "up-down", "down-up", "down-down"),
 }
 RANK_BUCKETS = 50
-# FolkRank top lists walk this many query tags at once, fewer when one
-# n×block float64 block of the folded graph would pass QUERY_BLOCK_BYTES.
-# B = 16 was the fastest on the bench graphs (4.2k-4.4k nodes); on an
-# 88.8k-node paper-scale probe B = 8 beat it.  Both stay until they are
-# measured on a paper-scale workload.
-QUERY_BLOCK = 16
-QUERY_BLOCK_BYTES = 12 << 20
 
 REPORT_FILES = (
     "report_coverage.tsv",
@@ -221,9 +212,9 @@ def rank_bucket_spans(max_rank: int, buckets: int = RANK_BUCKETS) -> list[tuple[
 class GroundingEvaluator:
     """Runs every measure over a folksonomy and grounds it in taxonomies.
 
-    Expensive artifacts (per-measure top lists, the FolkRank walks, scored
-    pairs) are computed once and memoized; `report` builds every summary
-    from them.
+    Expensive artifacts (per-measure top lists with the FolkRank walk
+    outcomes, scored pairs) are computed once and memoized; `report` builds
+    every summary from them.
     """
 
     def __init__(
@@ -270,46 +261,19 @@ class GroundingEvaluator:
             if measure not in MEASURES:
                 raise ValueError(f"unknown measure {measure!r}")
             lists = freq_top_lists if measure == "freq" else cosine_top_lists
-            arrays = (self._folkrank[0] if measure == "folkrank"
+            arrays = (self._folkrank[:2] if measure == "folkrank"
                       else lists(self.cograph, self.k))
-            self._top[measure] = TopLists(self.folksonomy.tags, self._rows,
-                                          *arrays)
+            self._top[measure] = TopLists(self.folksonomy.tags, self._rows, *arrays)
         return self._top[measure]
 
     @cached_property
-    def _folkrank(self) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
-        """FolkRank top lists as `_select`'s arrays by tag id, and the
-        report's ``folkrank`` entry on the walks behind them."""
-        n, k = len(self._tags), self.k
-        ids, scores = np.empty((n, k), dtype=np.int32), np.empty((n, k))
-        if not n:
-            return (ids, scores), _walk_stats(())
-        g = self.folkgraph
-        p = self.params
-        base = rank(g, p.damping, None, p.tol, p.max_iter)
-        tags = slice(g.tag_offset, g.resource_offset)
-        size = max(1, min(QUERY_BLOCK, QUERY_BLOCK_BYTES // (8 * g.num_nodes)))
-        blocks = range(0, n, size)
-
-        def walk(lo):
-            block = self._sorted_ids[lo:lo + size]
-            vectors = rank_tags(g, self._tags[lo:lo + size], p.damping,
-                                p.beta, p.tol, p.max_iter)
-            diff = np.array([v.weights[tags] - base.weights[tags] for v in vectors])
-            others = np.ones(diff.shape, dtype=bool)
-            others[np.arange(len(block)), block] = False
-            ids[block], scores[block] = _select(diff, others, k,
-                                                self.folksonomy.tag_rank)
-            return [(v.converged, v.iterations, v.residual) for v in vectors]
-
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                done = list(pool.map(walk, blocks))
-        else:  # a pool thread's own malloc arena would raise peak RSS
-            done = [walk(lo) for lo in blocks]
-        return (ids, scores), _walk_stats(
-            [(base.converged, base.iterations, base.residual)]
-            + [outcome for block in done for outcome in block])
+    def _folkrank(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """`folkrank_top_lists`' arrays and the report's ``folkrank`` entry."""
+        if not self._tags:  # no graph to walk
+            return np.empty((0, self.k), np.int32), np.empty((0, self.k)), _walk_stats(())
+        ids, scores, walks = folkrank_top_lists(
+            self.folkgraph, self.k, threads=self.threads, **asdict(self.params))
+        return ids, scores, _walk_stats(walks)
 
     @cached_property
     def _lemmas(self) -> dict[str, dict[str, str | None]]:
@@ -398,8 +362,7 @@ class GroundingEvaluator:
         """
         summaries = {m: self.semantic_pairs(m).summary() for m in measures}
         # Read after the summaries, so the walks run inside top_related.
-        walks = (dict(self._folkrank[1]) if "folkrank" in measures
-                 else _walk_stats(()))
+        walks = dict(self._folkrank[2]) if "folkrank" in measures else _walk_stats(())
         return {
             "coverage": _coverage(len(self._tags), {
                 pos: found.values() for pos, found in self._lemmas.items()}),

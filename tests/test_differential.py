@@ -17,6 +17,7 @@ import gc
 import math
 import random
 import re
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -25,16 +26,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from folkrel import distributional, grounding, wordnet
+from folkrel import distributional, folkrank, wordnet
 from folkrel.core import (Folksonomy, UnknownTagError, normalize_tag,
                           restrict_to_top_tags, tag_stats)
 from folkrel.distributional import (CoGraph, build_cooccurrence,
                                     cosine_relatedness, cosine_similarity,
                                     freq_relatedness)
-from folkrel.folkrank import (PreferenceError, build_folkgraph,
+from folkrel.folkrank import (QUERY_BLOCK, PreferenceError, build_folkgraph,
                               folkrank_relatedness, rank, rank_tags)
-from folkrel.grounding import (MEASURES, QUERY_BLOCK, GroundingEvaluator,
-                               RankParams)
+from folkrel.grounding import MEASURES, GroundingEvaluator, RankParams
 from folkrel.wndb import (SynsetSpec, WndbFormatError, key_text, parse_data,
                           parse_index, render_database)
 from folkrel.wordnet import (ROOT, IcCountsError, Taxonomy,
@@ -374,7 +374,7 @@ def assert_top_lists_match(f, measure, k, rows=None, threads=1):
         if rows is not None:
             mp.setattr(distributional, "DOT_BLOCK_BYTES",
                        8 * rows * max(f.num_tags, 1))
-            mp.setattr(grounding, "QUERY_BLOCK", rows)
+            mp.setattr(folkrank, "QUERY_BLOCK", rows)
         evaluator = GroundingEvaluator(f, {}, k=k, threads=threads)
         got = evaluator.top_related(measure)
     per_tag = {
@@ -409,6 +409,33 @@ def test_evaluator_top_lists_match_per_tag_functions(posts, measure, k, rows):
 def test_evaluator_top_lists_on_hub_heavy_corpus(measure, rows):
     f = Folksonomy.from_posts(zipf_posts(11, 600, 120))
     assert_top_lists_match(f, measure, 10, rows, threads=2)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_folkrank_lists_in_blocks_cut_by_the_byte_cap(block, threads,
+                                                      monkeypatch):
+    """Past 98,304 nodes QUERY_BLOCK_BYTES, not QUERY_BLOCK, sets the walk
+    block; a cap of ``block`` vectors of the graph gives the same lists.
+    More threads than cores, switching often, must lose no block's rows or
+    walk outcomes (a lost outcome fails the evaluator's walk summary)."""
+    f = Folksonomy.from_posts(zipf_posts(11, 600, 120))
+    nodes = f.num_users + f.num_tags + f.num_resources
+    monkeypatch.setattr(folkrank, "QUERY_BLOCK_BYTES", 8 * nodes * block + 7)
+    sizes, walk = [], folkrank.rank_tags
+
+    def counted(g, tags, *params):
+        sizes.append(len(tags))
+        return walk(g, tags, *params)
+
+    monkeypatch.setattr(folkrank, "rank_tags", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_top_lists_match(f, "folkrank", 10, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(sizes) == block and sum(sizes) == f.num_tags
 
 
 def test_top_lists_view_is_a_read_only_mapping():
