@@ -121,19 +121,15 @@ def cmd_relate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not f.has_tag(args.tag):
         raise UnknownTagError(args.tag)
     if args.measure == "folkrank":
-        graph = build_folkgraph(f)
-        related = folkrank_relatedness(
-            graph, args.tag, cfg.damping, cfg.beta, cfg.tol, cfg.max_iter
-        ).top(cfg.k)
-        scores = [fmt6(item.score) for item in related]
+        related = folkrank_relatedness(build_folkgraph(f), args.tag, cfg.damping,
+                                       cfg.beta, cfg.tol, cfg.max_iter).top(cfg.k)
     elif args.measure == "freq":
         related = freq_relatedness(build_cooccurrence(f), args.tag).top(cfg.k)
-        scores = [str(int(item.score)) for item in related]
     else:
         related = cosine_relatedness(build_cooccurrence(f), args.tag, cfg.k).items
-        scores = [fmt6(item.score) for item in related]
-    for position, (item, score) in enumerate(zip(related, scores), start=1):
-        print(f"{position}\t{item.tag}\t{score}")
+    show = (lambda score: str(int(score))) if args.measure == "freq" else fmt6
+    for position, item in enumerate(related, start=1):
+        print(f"{position}\t{item.tag}\t{show(item.score)}")
     return 0
 
 

@@ -140,25 +140,20 @@ def _select(scores: np.ndarray, candidates: np.ndarray, k: int,
             tag_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's top k in `_ranked`'s order, for B×n finite ``scores``
     (overwritten) and ``candidates`` over tag ids: B×k int32 ids, -1 past
-    the candidates, and float64 scores, NaN past them.  `argpartition`
-    keeps the k smallest keys (-score) but any share of the ties at the
-    k-th; the tie pass keeps those first in string order instead."""
+    the candidates, and float64 scores, NaN past them.  The order is one
+    key, -score + 1j·tag_rank: numpy sorts complex numbers by real, then
+    imaginary part, and ranks are unique.  Rows with ties at the k-th score,
+    of which `argpartition` keeps any share, are partitioned again on it.
+    Scores come from the float key: adding 1j·rank turns -0.0 into 0.0."""
     key = np.negative(scores, out=scores)
     key[~candidates] = np.inf
     b, n = key.shape
-    part = np.broadcast_to(np.arange(n), (b, n))
-    if k < n:
-        part = np.argpartition(key, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(key, part, 1).max(1, keepdims=True)
-        rows = np.flatnonzero(((key <= kth).sum(1) > k) & (kth[:, 0] < np.inf))
-        if rows.size:
-            by_string = np.argsort(tag_rank)
-            chosen, ties = key[rows] < kth[rows], (key[rows] == kth[rows])[:, by_string]
-            need = k - chosen.sum(1, keepdims=True)
-            chosen[:, by_string] |= ties & (ties.cumsum(1) <= need)
-            part[rows] = np.nonzero(chosen)[1].reshape(-1, k)
+    part = np.argpartition(key, min(k, n) - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(key, part, 1).max(1, keepdims=True)
+    rows = np.flatnonzero(((key <= kth).sum(1) > k) & (kth[:, 0] < np.inf))
+    part[rows] = np.argpartition(key[rows] + 1j * tag_rank, min(k, n) - 1, axis=1)[:, :k]
     key = np.take_along_axis(key, part, 1)
-    order = np.lexsort((tag_rank[part], key), axis=1)
+    order = np.argsort(key + 1j * tag_rank[part], axis=1)
     part, key = np.take_along_axis(part, order, 1), np.take_along_axis(key, order, 1)
     listed = np.arange(part.shape[1]) < candidates.sum(1, keepdims=True)
     ids, top = np.full((b, k), -1, dtype=np.int32), np.full((b, k), np.nan)
@@ -166,14 +161,17 @@ def _select(scores: np.ndarray, candidates: np.ndarray, k: int,
     return ids, top
 
 
-def _top_lists(g, k: int, scored, size: int = 0, threads: int = 1):
+def _dot_rows(n: int) -> int:  # rows of a DOT_BLOCK_BYTES float64 block, n wide
+    return max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
+
+
+def _top_lists(g, k: int, scored, size: int, threads: int = 1):
     """`_select`'s arrays of all tags of ``g``, a CoGraph or a FolkGraph, by
     id, from ``scored(lo, hi)``'s (scores, candidates) of tags lo..hi-1, in
-    blocks of ``size`` tags (or DOT_BLOCK_BYTES) on ``threads`` threads."""
+    blocks of ``size`` tags on ``threads`` threads."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.corpus.num_tags
-    size = size or max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
     ids, scores = np.empty((n, k), dtype=np.int32), np.empty((n, k))
 
     def block(lo):
@@ -195,7 +193,7 @@ def freq_top_lists(g: CoGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
         rows = g.matrix[lo:hi].astype(np.float64).toarray()
         return rows, rows > 0
 
-    return _top_lists(g, k, scored)
+    return _top_lists(g, k, scored, _dot_rows(g.corpus.num_tags))
 
 
 def freq_relatedness(g: CoGraph, tag: str) -> RelatedList:
@@ -259,7 +257,7 @@ def cosine_top_lists(g: CoGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
         return _top_lists(g, k, lambda lo, hi: _cosine_scores(
             g, lo, g.dots(lo)[None]), 1)
     n = g.corpus.num_tags
-    size = max(1, DOT_BLOCK_BYTES // (8 * max(n, 1)))
+    size = _dot_rows(n)
 
     def dense(lo: int, order: str = "C") -> np.ndarray:
         return g.matrix[lo:lo + size].astype(np.float64).toarray(order)

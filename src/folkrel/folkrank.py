@@ -262,11 +262,16 @@ def folkrank_relatedness(
     tid = g.corpus.tag_id(tag)
     if base is None:
         base = rank(g, damping, None, tol, max_iter)
-    preferred = rank(g, damping, g.tag_preference(tag, beta), tol, max_iter)
-    tags = slice(g.tag_offset, g.resource_offset)
+    preferred = rank_tags(g, [tag], damping, beta, tol, max_iter)
+    diff = _differentials(g, preferred, base)[0]
     others = np.delete(np.arange(len(g.tags)), tid)
-    diff = (preferred.weights[tags] - base.weights[tags])[others]
-    return RelatedList(source=g.tags[tid], items=_ranked(g, others, diff))
+    return RelatedList(source=g.tags[tid], items=_ranked(g, others, diff[others]))
+
+
+def _differentials(g: FolkGraph, vectors: list[RankVector], base: RankVector):
+    """Each walk's tag rows minus ``base``'s, len(vectors)×|T|."""
+    rows = slice(g.tag_offset, g.resource_offset)
+    return np.array([v.weights[rows] for v in vectors]) - base.weights[rows]
 
 
 def folkrank_top_lists(g: FolkGraph, k: int, damping: float, beta: float,
@@ -275,14 +280,13 @@ def folkrank_top_lists(g: FolkGraph, k: int, damping: float, beta: float,
     `_top_lists`' arrays, plus each walk's (converged, iterations, residual):
     the base walk's, then every tag's by id."""
     base = rank(g, damping, None, tol, max_iter)
-    tags = slice(g.tag_offset, g.resource_offset)
     walks = [(base.converged, base.iterations, base.residual)] + [None] * len(g.tags)
 
     def scored(lo, hi):
         vectors = rank_tags(g, g.tags[lo:hi], damping, beta, tol, max_iter)
         walks[1 + lo:1 + hi] = [(v.converged, v.iterations, v.residual) for v in vectors]
-        diff = np.array([v.weights[tags] - base.weights[tags] for v in vectors])
-        return diff, np.arange(len(g.tags)) != np.arange(lo, hi)[:, None]
+        return (_differentials(g, vectors, base),
+                np.arange(len(g.tags)) != np.arange(lo, hi)[:, None])
 
     size = max(1, min(QUERY_BLOCK, QUERY_BLOCK_BYTES // (8 * g.num_nodes)))
     return *_top_lists(g, k, scored, size, threads), walks

@@ -239,8 +239,8 @@ class GroundingEvaluator:
         self._ic: dict[str, ICTable] = dict(ic_tables or {})
         # Global rank by tag id: the inverse of the ids in rank order.
         self._ranks = np.argsort(_by_frequency(folksonomy)[1]) + 1
-        self._tags = tuple(sorted(folksonomy.tags))
-        self._sorted_ids = np.argsort(folksonomy.tag_rank)  # ids of ``_tags``
+        self._sorted_ids = np.argsort(folksonomy.tag_rank)  # ids in string order
+        self._tags = tuple(folksonomy.tags[i] for i in self._sorted_ids.tolist())
         self._rows = dict(zip(self._tags, self._sorted_ids.tolist()))
         self._top: dict[str, TopLists] = {}
         self._pairs: dict[str, MeasurePairs] = {}

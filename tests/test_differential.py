@@ -350,6 +350,15 @@ def signed(items):
 @example((np.zeros((2, 4)), np.ones((2, 4), dtype=bool), 2, np.arange(4)))
 @example((np.array([[-0.0, 0.0, -0.0, 0.0]]), np.ones((1, 4), dtype=bool), 3,
           np.array([3, 1, 0, 2])))
+# Every candidate ties at the k-th score, with and without a non-candidate.
+@example((np.full((2, 5), 2.0), np.array([[True] * 5, [True, True, False, True, True]]),
+          2, np.array([3, 0, 4, 1, 2])))
+@example((np.array([[1.0, -0.0, 1.0, 0.0], [-1.0, 2.0, -1.0, 2.0]]),  # k == n
+          np.array([[True] * 4, [True, False, True, True]]), 4, np.array([2, 0, 3, 1])))
+# String ranks far past any generated block, up to the last float64 integers
+# that still differ by one.
+@example((np.array([[1.0, 1.0, 1.0, 0.5, 1.0, 1.0]]), np.ones((1, 6), dtype=bool), 3,
+          np.array([2**40, 2**20 + 1, 2**52 + 1, 2**20, 2**33, 2**52])))
 def test_block_selection_matches_ranked(block):
     scores, candidates, k, tag_rank = block
     names = tuple(f"t{r:02d}" for r in tag_rank.tolist())
@@ -366,10 +375,10 @@ def test_block_selection_matches_ranked(block):
         assert (ids[r, listed:] == -1).all() and np.isnan(top[r, listed:]).all()
 
 
-def assert_top_lists_match(f, measure, k, rows=None, threads=1):
-    """Every tag's row of the evaluator's ``measure`` arrays equals the
-    measure's per-tag function with ==, with blocks of ``rows`` rows (the
-    default bounds when None)."""
+def assert_top_lists_match(f, measure, k, rows=None, threads=1, tags=None):
+    """Every tag's row (or each of ``tags``') of the evaluator's ``measure``
+    arrays equals the measure's per-tag function with ==, with blocks of
+    ``rows`` rows (the default bounds when None)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(distributional, "DOT_BLOCK_BYTES",
@@ -386,7 +395,7 @@ def assert_top_lists_match(f, measure, k, rows=None, threads=1):
     base = rank(evaluator.folkgraph) if f.num_tags else None
     assert list(got) == sorted(f.tags) and len(got) == f.num_tags
     assert got.ids.shape == got.scores.shape == (f.num_tags, k)
-    for tag in f.tags:
+    for tag in f.tags if tags is None else tags:
         want = per_tag(tag)
         assert got[tag] == want
         row = got.ids[f.tag_id(tag)]
@@ -409,6 +418,23 @@ def test_evaluator_top_lists_match_per_tag_functions(posts, measure, k, rows):
 def test_evaluator_top_lists_on_hub_heavy_corpus(measure, rows):
     f = Folksonomy.from_posts(zipf_posts(11, 600, 120))
     assert_top_lists_match(f, measure, 10, rows, threads=2)
+
+
+def test_top_lists_with_a_post_of_a_thousand_tags():
+    """One post holds 1,000 of the corpus's 1,020 tags, so X stores 96% of
+    its entries and 946 freq rows tie at the k-th count.  About 2.5 s on one
+    core (Xeon, 2 vCPU)."""
+    long_post = ("u-long", "r-long", [f"t{i}" for i in range(1000)])
+    f = Folksonomy.from_posts(zipf_posts(13, 300, 1_170) + [long_post])
+    assert f.num_tags >= 1_000 and max(np.diff(f.incidence.indptr)) == 1_000
+    want, norm_sq = oracles.sparse_cooccurrence(f)
+    g = build_cooccurrence(f)
+    assert_same_csr(g.matrix, want)
+    assert np.array_equal(g.norm_sq, norm_sq)
+    assert_top_lists_match(f, "freq", 10)
+    assert_top_lists_match(f, "cosine", 10)
+    sample = random.Random(13).sample(f.tags, 12) + ["t0", "t999"]
+    assert_top_lists_match(f, "folkrank", 10, threads=2, tags=sample)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -435,7 +461,10 @@ def test_folkrank_lists_in_blocks_cut_by_the_byte_cap(block, threads,
         assert_top_lists_match(f, "folkrank", 10, threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    assert max(sizes) == block and sum(sizes) == f.num_tags
+    # The evaluator's walk blocks, then one single-tag walk per query.
+    blocks, queries = sizes[:-f.num_tags], sizes[-f.num_tags:]
+    assert max(blocks) == block and sum(blocks) == f.num_tags
+    assert queries == [1] * f.num_tags
 
 
 def test_top_lists_view_is_a_read_only_mapping():
